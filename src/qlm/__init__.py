@@ -29,7 +29,7 @@ from .functionals import (EnergyBreakdown, EnergyWorkspace, SurfaceData,
                           TimeFunction, boost_angle, byly_mass, gauge_functional,
                           hawking_mass, mass_density, euler_lagrange_residual,
                           wang_yau_energy)
-from .grid import SphereGrid, default_grid, sphere_grid
+from .grid import SphereGrid, sphere_grid
 from .optimal import (OptimalSolveOptions, OptimalSolveResult, comparison_check,
                       hessian_check, solve_optimal)
 from .radial import (QuasiSphericalState, RadialInitialData, adm_energy_radial,

@@ -16,6 +16,7 @@ from .fields import Metric2, OneForm, ScalarField, SymTensor2, same_grid, worst_
 __all__ = [
     "integrate",
     "area",
+    "area_weights",
     "gradient",
     "gradient_raised",
     "divergence",
@@ -24,10 +25,10 @@ __all__ = [
     "metric_add_dtau",
     "norm_grad_sq",
     "form_dot",
+    "raise_indices",
     "christoffels",
     "covariant_hessian",
     "require_positive_curvature",
-    "spectral_tail_fraction",
     "metric_tail_fraction",
 ]
 
@@ -41,6 +42,12 @@ def integrate(sigma, f):
 
 def area(sigma):
     return integrate(sigma, ScalarField.constant(sigma.grid, 1.0))
+
+
+def area_weights(sigma):
+    """Node weights of the area measure of ``sigma``: sum(weights * f) = integral."""
+    grid = sigma.grid
+    return grid.quad_weights * sigma.sqrt_det() / grid.sin_theta[:, None]
 
 
 def gradient(sigma, f):
@@ -111,12 +118,11 @@ def christoffels(sigma):
     }
 
 
-def covariant_hessian(sigma, f, gamma=None):
+def covariant_hessian(sigma, f):
     """Second covariant derivative of a scalar, as a SymTensor2."""
     grid = same_grid(sigma, f)
     t = grid.transform
-    if gamma is None:
-        gamma = christoffels(sigma)
+    gamma = christoffels(sigma)
     f_t = t.dtheta(f.values, 0)
     f_p = t.dphi(f.values)
     f_ttheta = t.dtheta(f_t, 1)
@@ -153,9 +159,7 @@ def gauss_curvature(sigma):
     det1 = (a00 * (e * g - f * f)
             - a01 * (a10 * g - f * 0.5 * g_v)
             + a02 * (a10 * f - e * 0.5 * g_v))
-    det2 = (0.0 * (e * g - f * f)
-            - b01 * (b01 * g - f * b02)
-            + b02 * (b01 * f - e * b02))
+    det2 = -b01 * (b01 * g - f * b02) + b02 * (b01 * f - e * b02)
     det_sigma = sigma.det()
     return ScalarField(grid, (det1 - det2) / det_sigma ** 2)
 
@@ -192,6 +196,17 @@ def form_dot(sigma, omega, nu):
     return v_t * nu.a_theta + v_p * nu.a_phi
 
 
+def raise_indices(sigma, t):
+    """Both indices of the symmetric tensor ``t`` raised by ``sigma``.
+
+    Returns the contravariant components (tt, tp, pp) as raw arrays.
+    """
+    itt, itp, ipp = sigma.inverse_components()
+    return (itt * itt * t.tt + 2.0 * itt * itp * t.tp + itp * itp * t.pp,
+            itt * itp * t.tt + (itt * ipp + itp * itp) * t.tp + itp * ipp * t.pp,
+            itp * itp * t.tt + 2.0 * itp * ipp * t.tp + ipp * ipp * t.pp)
+
+
 def require_positive_curvature(sigma, what="metric", err=PreconditionError):
     """Check pointwise positive Gauss curvature; returns the curvature field."""
     k = gauss_curvature(sigma)
@@ -204,32 +219,16 @@ def require_positive_curvature(sigma, what="metric", err=PreconditionError):
     return k
 
 
-def spectral_tail_fraction(grid, values, tail=1.0 / 3.0):
-    """Fraction of spectral energy in the top ``tail`` of the degree range.
+def metric_tail_fraction(sigma):
+    """Smoothness proxy: joint energy fraction of a metric in its top degrees.
 
-    Diagnostic smoothness proxy: analyzes the array in the scalar harmonic
-    basis up to the grid's full degree support and reports the energy
-    fraction carried by the highest degrees.
-    """
-    lmax = grid.n_theta - 1
-    table = grid.transform.scalar_coefficients(values, lmax)
-    by_l = table.sum(axis=1)
-    total = by_l.sum()
-    if total == 0.0:
-        return 0.0
-    l_cut = int(np.floor((1.0 - tail) * lmax))
-    return float(by_l[l_cut + 1:].sum() / total)
-
-
-def metric_tail_fraction(sigma, tail=1.0 / 3.0):
-    """Smoothness proxy of a metric: joint high-degree energy fraction.
-
+    The top degrees are the highest third of the degree range.
     Components are pooled so that an identically vanishing component (whose
     roundoff noise has a flat spectrum) cannot dominate the diagnostic.
     """
     grid = sigma.grid
     lmax = grid.n_theta - 1
-    l_cut = int(np.floor((1.0 - tail) * lmax))
+    l_cut = int(np.floor((1.0 - 1.0 / 3.0) * lmax))
     head = 0.0
     tail_energy = 0.0
     for comp in sigma.components():

@@ -185,17 +185,6 @@ class MinkowskiSurface:
     chart: np.ndarray          # (4, n_theta, n_phi) embedding, time first
 
 
-def _modes_field(grid, modes):
-    if not modes:
-        return np.zeros(grid.shape)
-    lmax = max(ell for ell, _, _ in modes)
-    basis = grid.basis(lmax)
-    coeffs = np.zeros(basis.n_modes)
-    for key, amp in modes.items():
-        coeffs[basis.mode_index(*key)] = amp
-    return basis.synthesize(coeffs)
-
-
 def _chart(spec, grid):
     th, ph = grid.nodes
     unit = np.stack([np.sin(th) * np.cos(ph),
@@ -206,7 +195,8 @@ def _chart(spec, grid):
         space = np.stack([a * unit[0], b * unit[1], c * unit[2]])
         return np.concatenate([np.zeros((1,) + grid.shape), space])
     if spec.variant == "lightcone_cut":
-        f = np.exp(_modes_field(grid, spec.log_modes)) * spec.radius
+        log_f = TimeFunction.from_modes(grid, spec.log_modes).tau.values
+        f = np.exp(log_f) * spec.radius
         return np.concatenate([f[None], f * unit])
     if spec.variant == "boosted_sphere":
         v = spec.velocity
@@ -215,7 +205,7 @@ def _chart(spec, grid):
         return np.stack([-gam * v * r * np.cos(th),
                          r * unit[0], r * unit[1], gam * r * np.cos(th)])
     # graph over a round base
-    tau = _modes_field(grid, spec.tau_modes)
+    tau = TimeFunction.from_modes(grid, spec.tau_modes).tau.values
     return np.concatenate([tau[None], spec.radius * unit])
 
 

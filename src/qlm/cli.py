@@ -35,16 +35,37 @@ def _emit_json(doc, path=None):
         print(text)
 
 
-def _parse_modes(spec):
-    """Parse 'l,m,kind:amp;l,m,kind:amp' into a mode dictionary."""
+def _modes(spec):
+    """argparse type: 'l,m,kind:amp;l,m,kind:amp' as a mode dictionary."""
     modes = {}
-    if not spec:
-        return modes
-    for chunk in spec.split(";"):
-        key, amp = chunk.split(":")
-        ell, m, kind = (int(v) for v in key.split(","))
-        modes[(ell, m, kind)] = float(amp)
+    try:
+        for chunk in filter(None, spec.split(";")):
+            key, amp = chunk.split(":")
+            ell, m, kind = (int(v) for v in key.split(","))
+            modes[(ell, m, kind)] = float(amp)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'l,m,kind:amp;...', got {spec!r}") from None
     return modes
+
+
+def _r_range(text):
+    """argparse type: 'lo:hi[:num]' as (lo, hi, num), num defaulting to 32."""
+    parts = text.split(":") + ["32"]
+    try:
+        if len(parts) in (3, 4):
+            return float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected 'lo:hi[:num]', got {text!r}")
+
+
+def _positive_float(text):
+    """argparse type: a float that must be strictly positive."""
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +74,11 @@ def _parse_modes(spec):
 
 def cmd_compute(args):
     import numpy as np
-    from .datafile import RunConfig, load_surface_data
+    from .datafile import load_surface_data
     from .errors import QlmError
     from .functionals import (EnergyWorkspace, TimeFunction, byly_mass,
                               hawking_mass, wang_yau_energy)
 
-    config = RunConfig(weyl_tol=args.weyl_tol)
     loaded = load_surface_data(args.input)
     data = loaded.data
     report = {
@@ -66,7 +86,7 @@ def cmd_compute(args):
         "which": args.which,
         "grid": {"n_theta": data.grid.n_theta, "n_phi": data.grid.n_phi},
     }
-    workspace = EnergyWorkspace(data.grid, weyl_tol=config.weyl_tol)
+    workspace = EnergyWorkspace(data.grid, weyl_tol=args.weyl_tol)
     if args.which == "hawking":
         report["value"] = hawking_mass(data)
     elif args.which == "byly":
@@ -113,7 +133,7 @@ def cmd_catalog(args):
         if args.kind == "lightcone":
             spec = MinkowskiSurfaceSpec(
                 "lightcone_cut",
-                log_modes=_parse_modes(args.modes) or {(args.bump_l, 0, 0): args.bump})
+                log_modes=args.modes or {(args.bump_l, 0, 0): args.bump})
             meta = {"kind": args.kind,
                     "log_modes": {f"{k[0]},{k[1]},{k[2]}": v
                                   for k, v in spec.log_modes.items()}}
@@ -127,7 +147,7 @@ def cmd_catalog(args):
             meta = {"kind": args.kind, "r": args.r, "v": args.v}
         else:
             spec = MinkowskiSurfaceSpec("graph", radius=args.r,
-                                        tau_modes=_parse_modes(args.modes))
+                                        tau_modes=args.modes)
             meta = {"kind": args.kind, "r": args.r,
                     "tau_modes": {f"{k[0]},{k[1]},{k[2]}": v
                                   for k, v in spec.tau_modes.items()}}
@@ -144,11 +164,10 @@ def cmd_catalog(args):
 
 def cmd_optimal(args):
     import numpy as np
-    from .datafile import RunConfig, load_surface_data
+    from .datafile import load_surface_data
     from .functionals import EnergyWorkspace, TimeFunction
     from .optimal import OptimalSolveOptions, hessian_check, solve_optimal
 
-    RunConfig(weyl_tol=args.weyl_tol, optimal_tol=args.tol)
     loaded = load_surface_data(args.input)
     data = loaded.data
     grid = data.grid
@@ -222,7 +241,7 @@ def cmd_plotdata(args):
         from .functionals import EnergyWorkspace, byly_mass, hawking_mass
         from .grid import sphere_grid
 
-        lo, hi, num = _parse_range(args.r_range)
+        lo, hi, num = args.r_range
         grid = sphere_grid(args.resolution, 2 * args.resolution)
         workspace = EnergyWorkspace(grid)
         rows = ["r,hawking,byly"]
@@ -242,10 +261,13 @@ def cmd_plotdata(args):
         path = os.path.join(args.outdir, "shi_tam_e_of_r.csv")
     else:  # stability
         from .datafile import load_surface_data
+        from .errors import InputFileError
         from .functionals import (EnergyWorkspace, TimeFunction,
                                   wang_yau_energy)
         from .optimal import OptimalSolveOptions, solve_optimal
 
+        if args.input is None:
+            raise InputFileError("plotdata stability needs --input")
         loaded = load_surface_data(args.input)
         data = loaded.data
         grid = data.grid
@@ -267,13 +289,6 @@ def cmd_plotdata(args):
     return 0
 
 
-def _parse_range(text):
-    parts = text.split(":")
-    lo, hi = float(parts[0]), float(parts[1])
-    num = int(parts[2]) if len(parts) > 2 else 32
-    return lo, hi, num
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -292,7 +307,7 @@ def build_parser():
                    choices=["hawking", "byly", "wangyau"])
     p.add_argument("--tau-zero", action="store_true",
                    help="use tau = 0 when the file has no tau array")
-    p.add_argument("--weyl-tol", type=float, default=1e-8)
+    p.add_argument("--weyl-tol", type=_positive_float, default=1e-8)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_compute)
 
@@ -306,7 +321,7 @@ def build_parser():
                    help="zonal log-amplitude of a light-cone cut")
     p.add_argument("--bump-l", type=int, default=2)
     p.add_argument("--axes", default="1,1,1.2", help="flat ellipsoid axes")
-    p.add_argument("--modes", default="",
+    p.add_argument("--modes", type=_modes, default="",
                    help="harmonic modes 'l,m,kind:amp;...' (graph/lightcone)")
     p.add_argument("--resolution", type=int, default=48)
     p.add_argument("--out", required=True)
@@ -316,10 +331,10 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--tau0-y10", type=float, default=None,
                    help="start from this amplitude of the first zonal mode")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--l-max-tau", type=int, default=16)
     p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--weyl-tol", type=float, default=1e-10)
+    p.add_argument("--weyl-tol", type=_positive_float, default=1e-10)
     p.add_argument("--hessian", type=int, default=0,
                    help="append a reduced-Hessian spectrum of this many modes")
     p.add_argument("--out")
@@ -335,13 +350,14 @@ def build_parser():
     p = sub.add_parser("plotdata", help="emit CSV curves for external plotting")
     p.add_argument("kind", choices=["mass-curves", "shi-tam", "stability"])
     p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--r-range", default="2.5:20", help="lo:hi[:num]")
+    p.add_argument("--r-range", type=_r_range, default="2.5:20",
+                   help="lo:hi[:num]")
     p.add_argument("--r0", type=float, default=4.0)
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--r-far", type=float, default=1000.0)
     p.add_argument("--samples", type=int, default=33)
     p.add_argument("--span", type=float, default=0.05)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--input", help="surface-data file (stability)")
     p.add_argument("--resolution", type=int, default=48)
     p.add_argument("--outdir", default=".")
@@ -351,8 +367,11 @@ def build_parser():
 
 def main(argv=None):
     _setup_threads()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # Usage errors (exit 2), --help and --version.
+        return exc.code
     from .errors import (ConvergenceError, DomainError, GenerationError,
                          GeometryError, GridMismatchError, InputFileError,
                          InvalidFieldError, InvalidMetricError,

@@ -1,4 +1,4 @@
-"""Surface-data files and run configuration.
+"""Surface-data files.
 
 One JSON document per surface: grid sizes, metric components, |H|, the
 connection one-form, an optional time function and free-form metadata.
@@ -18,28 +18,9 @@ import numpy as np
 from .errors import InputFileError, QlmError
 from .fields import Metric2, OneForm, ScalarField
 from .functionals import SurfaceData, TimeFunction
-from .grid import DEFAULT_N_THETA, sphere_grid
+from .grid import sphere_grid
 
-__all__ = ["RunConfig", "LoadedSurface", "save_surface_data", "load_surface_data"]
-
-
-@dataclass
-class RunConfig:
-    """Reproducibility knobs shared by the CLI commands."""
-
-    n_theta: int = DEFAULT_N_THETA
-    n_phi: Optional[int] = None
-    seed: int = 42
-    weyl_tol: float = 1e-8
-    optimal_tol: float = 1e-6
-    output_dir: str = "."
-
-    def __post_init__(self):
-        if self.weyl_tol <= 0 or self.optimal_tol <= 0:
-            raise InputFileError("tolerances must be positive")
-
-    def grid(self):
-        return sphere_grid(self.n_theta, self.n_phi)
+__all__ = ["LoadedSurface", "save_surface_data", "load_surface_data"]
 
 
 @dataclass(frozen=True)

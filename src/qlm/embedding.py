@@ -21,7 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from . import calculus as calc
-from .errors import ConvergenceError, GeometryError, PreconditionError
+from .errors import (AdmissibilityError, ConvergenceError, GeometryError,
+                     PreconditionError)
 from .fields import Metric2, ScalarField, SymTensor2, same_grid, worst_node
 from .grid import SphereGrid
 
@@ -80,6 +81,10 @@ class EmbeddedGeometry:
     induced: Metric2
 
 
+MIN_STEP = 1e-4     # the continuation gives up below this step
+MAX_GN_ITER = 25    # Gauss-Newton steps per continuation target
+
+
 class WeylOptions:
     """Tuning knobs for :class:`WeylSolver`.
 
@@ -87,19 +92,27 @@ class WeylOptions:
     l_start / l_cap : initial and maximal harmonic degree of the unknowns;
         the cap defaults to 2/3 of the grid degree to leave an anti-aliasing
         margin.
-    continuation_step / min_step : initial and minimal continuation step.
+    continuation_step : initial continuation step, halved on stalls at the cap.
     """
 
     def __init__(self, tol=1e-8, l_start=10, l_cap=None,
-                 continuation_step=0.25, min_step=1e-4, max_gn_iter=25,
-                 verbose=False):
+                 continuation_step=0.25):
         self.tol = tol
         self.l_start = l_start
         self.l_cap = l_cap
         self.continuation_step = continuation_step
-        self.min_step = min_step
-        self.max_gn_iter = max_gn_iter
-        self.verbose = verbose
+
+
+def _max_rel(res, target):
+    """Max-node metric residual ``res`` relative to the diagonal of ``target``."""
+    scale = max(np.max(np.abs(target[0])), np.max(np.abs(target[2])))
+    return max(np.max(np.abs(r)) for r in res) / scale
+
+
+def _area_centroid(xyz, sigma):
+    """Centroid of the coordinate functions ``xyz`` under the area of sigma."""
+    jac = calc.area_weights(sigma)
+    return np.array([(jac * c).sum() for c in xyz]) / calc.area(sigma)
 
 
 def _round_coefficients(basis, radius):
@@ -163,11 +176,6 @@ class WeylSolver:
                      + np.sum(self._w_tp * r_tp ** 2)
                      + np.sum(self._w_pp * r_pp ** 2))
 
-    @staticmethod
-    def _max_rel(res, target):
-        scale = max(np.max(np.abs(target[0])), np.max(np.abs(target[2])))
-        return max(np.max(np.abs(r)) for r in res) / scale
-
     def _gradient(self, basis, xt, xp, res):
         """Exact J^T r for the weighted least-squares functional."""
         r_tt, r_tp, r_pp = res
@@ -221,15 +229,15 @@ class WeylSolver:
 
     # -- Gauss-Newton core ---------------------------------------------------
 
-    def _gauss_newton(self, coeffs, basis, target, tol, max_iter, allow_stale=True):
+    def _gauss_newton(self, coeffs, basis, target, tol, allow_stale=True):
         """Iterate to ``tol`` on the given target; returns (coeffs, rel, ok)."""
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
-        rel = self._max_rel(res, target)
+        rel = _max_rel(res, target)
         stale = (allow_stale and self._factor is not None
                  and self._factor_l == basis.lmax)
-        for _ in range(max_iter):
+        for _ in range(MAX_GN_ITER):
             if rel < tol:
                 return coeffs, rel, True
             if not stale:
@@ -258,13 +266,19 @@ class WeylSolver:
                 return coeffs, rel, rel < tol
             slow = obj2 > 0.01 * obj
             coeffs, x, xt, xp, res, obj = trial, x2, xt2, xp2, res2, obj2
-            rel = self._max_rel(res, target)
+            rel = _max_rel(res, target)
             if stale and slow:
                 stale = False
         return coeffs, rel, rel < tol
 
-    def solve(self, sigma_hat, initial=None, check_curvature=True):
-        """Solve <dX, dX> = sigma_hat; returns an :class:`EmbeddingR3`."""
+    def solve(self, sigma_hat, check_curvature=True):
+        """Solve <dX, dX> = sigma_hat; returns an :class:`EmbeddingR3`.
+
+        Gauss-Newton from the previous solution first; if that misses
+        ``opts.tol``, continuation from the area-matched round sphere, growing
+        the degree by 8 on each stall up to the cap. A stall at the cap raises
+        :class:`ConvergenceError` carrying the last iterate.
+        """
         grid = self.grid
         if sigma_hat.grid is not grid:
             raise PreconditionError("metric grid does not match solver grid")
@@ -274,21 +288,12 @@ class WeylSolver:
         opts = self.opts
         target_full = np.stack(sigma_hat.components())
 
-        coeffs = initial
-        l_now = None
-        if coeffs is None and self._warm_coeffs is not None:
-            coeffs, l_now = self._warm_coeffs, self._warm_l
-        if coeffs is not None:
-            if l_now is None:
-                l_now = int(np.sqrt(coeffs.shape[1] + 1) - 1 + 0.5)
-            basis = self._basis(l_now)
+        if self._warm_coeffs is not None:
             coeffs, rel, ok = self._gauss_newton(
-                coeffs, basis, target_full, opts.tol, opts.max_gn_iter)
+                self._warm_coeffs, self._basis(self._warm_l), target_full,
+                opts.tol)
             if ok:
-                coeffs, rel = self._escalate(coeffs, l_now, target_full, rel)
-                if rel < opts.tol:
-                    return self._package(coeffs, rel)
-            coeffs = None            # warm path failed: fall through to cold
+                return self._package(coeffs, rel)
 
         l_now = min(opts.l_start, self.l_cap)
         basis = self._basis(l_now)
@@ -305,8 +310,7 @@ class WeylSolver:
             # Mid-path solves only have to hand the next step a usable start.
             tol_here = opts.tol if t_next >= 1.0 else max(10.0 * opts.tol, 1e-5)
             trial, rel, ok = self._gauss_newton(
-                coeffs, basis, target, tol_here, opts.max_gn_iter,
-                allow_stale=False)
+                coeffs, basis, target, tol_here, allow_stale=False)
             if ok:
                 coeffs, t = trial, t_next
             elif l_now < self.l_cap:
@@ -320,7 +324,7 @@ class WeylSolver:
                 self._factor = None
             else:
                 step *= 0.5
-                if step < opts.min_step:
+                if step < MIN_STEP:
                     at_cap = (t_next >= 1.0 and rel < 1e-3)
                     why = (f"residual floor {rel:.3e} at the degree cap "
                            f"L={self.l_cap} exceeds tolerance {opts.tol:.1e}"
@@ -331,30 +335,8 @@ class WeylSolver:
                         "embedding " + why,
                         diagnostics={"last_iterate": self._package(trial, rel),
                                      "t": t, "step": step, "l_cap": self.l_cap})
-        coeffs, rel = self._escalate(coeffs, l_now, target_full, None)
-        if rel >= opts.tol:
-            raise ConvergenceError(
-                f"embedding residual {rel:.3e} above tolerance {opts.tol:.1e}",
-                diagnostics={"last_iterate": self._package(coeffs, rel)})
+        # The loop ends only on a step accepted at t = 1 and opts.tol.
         return self._package(coeffs, rel)
-
-    def _escalate(self, coeffs, l_now, target, rel):
-        """Raise the truncation degree until the node residual meets tol."""
-        if rel is None:
-            basis = self._basis(l_now)
-            _, xt, xp = self._fields(basis, coeffs)
-            rel = self._max_rel(self._residual(xt, xp, target), target)
-        while rel >= self.opts.tol and l_now < self.l_cap:
-            l_new = min(l_now + 8, self.l_cap)
-            basis_new = self._basis(l_new)
-            grown = np.zeros((3, basis_new.n_modes))
-            grown[:, :coeffs.shape[1]] = coeffs
-            self._factor = None
-            coeffs, rel, _ = self._gauss_newton(
-                grown, basis_new, target, self.opts.tol,
-                self.opts.max_gn_iter, allow_stale=False)
-            l_now = l_new
-        return coeffs, rel
 
     def _package(self, coeffs, rel):
         l_now = int(np.sqrt(coeffs.shape[1] + 1) - 1 + 0.5)
@@ -364,18 +346,12 @@ class WeylSolver:
         self._warm_l = l_now
         emb = EmbeddingR3(self.grid, x, rel, l_now)
         # Pin the induced-measure centroid at the origin.
-        sig = emb.induced_metric()
-        total = calc.area(sig)
-        jac = self.grid.quad_weights * sig.sqrt_det() / self.grid.sin_theta[:, None]
-        centroid = np.array([(jac * c).sum() for c in x]) / total
-        return emb.shifted(-centroid)
+        return emb.shifted(-_area_centroid(emb.xyz, emb.induced_metric()))
 
 
-def solve_weyl(sigma_hat, opts=None, solver=None, initial=None):
-    """One-shot convenience wrapper around :class:`WeylSolver`."""
-    if solver is None:
-        solver = WeylSolver(sigma_hat.grid, opts)
-    return solver.solve(sigma_hat, initial=initial)
+def solve_weyl(sigma_hat, opts=None):
+    """Embed ``sigma_hat`` with a fresh :class:`WeylSolver` built from ``opts``."""
+    return WeylSolver(sigma_hat.grid, opts).solve(sigma_hat)
 
 
 def extract_geometry(emb):
@@ -420,20 +396,15 @@ def extract_geometry(emb):
     )
 
 
-def minkowski_identity_residual(emb, geom=None):
+def minkowski_identity_residual(emb):
     """Defect of the identity total-mean-curvature = 2 * integral K <X, nu>."""
-    if geom is None:
-        geom = extract_geometry(emb)
-    grid = emb.grid
+    geom = extract_geometry(emb)
     sigma = geom.induced
-    total = calc.area(sigma)
-    jac = grid.quad_weights * sigma.sqrt_det() / grid.sin_theta[:, None]
-    centroid = np.array([(jac * c).sum() for c in emb.xyz]) / total
-    x = emb.xyz - centroid[:, None, None]
+    x = emb.xyz - _area_centroid(emb.xyz, sigma)[:, None, None]
     support = (x * geom.normal).sum(0)
     k_ext = geom.lambda1.values * geom.lambda2.values
     int_h = calc.integrate(sigma, geom.mean_curvature)
-    rhs = float(np.sum(jac * 2.0 * k_ext * support))
+    rhs = float(np.sum(calc.area_weights(sigma) * 2.0 * k_ext * support))
     return abs(int_h - rhs) / abs(int_h)
 
 
@@ -445,20 +416,21 @@ class HerglotzReport:
     aligned_coordinate_rms: float
 
 
-def herglotz_report(sigma_hat, emb1, emb2, residual_tol=1e-6):
+def herglotz_report(sigma_hat, emb1, emb2):
     """Uniqueness diagnostics for two embeddings of one metric.
 
     All three report entries vanish (to solver accuracy) exactly when the two
     embeddings differ by a rigid motion, which is what uniqueness of the
-    convex embedding predicts.
+    convex embedding predicts. Both embeddings must be isometric to
+    ``sigma_hat`` within a relative residual of 1e-6.
     """
     same_grid(sigma_hat, emb1.induced_metric())
     for which, emb in (("first", emb1), ("second", emb2)):
         rel = _isometry_defect(sigma_hat, emb)
-        if rel > residual_tol:
+        if rel > 1e-6:
             raise PreconditionError(
                 f"{which} embedding is not isometric for the given metric "
-                f"(residual {rel:.3e} > {residual_tol:.1e})")
+                f"(residual {rel:.3e} > 1.0e-06)")
     g1 = extract_geometry(emb1)
     g2 = extract_geometry(emb2)
     int_h1 = calc.integrate(sigma_hat, g1.mean_curvature)
@@ -468,13 +440,11 @@ def herglotz_report(sigma_hat, emb1, emb2, residual_tol=1e-6):
                     g1.second_form.tp - g2.second_form.tp,
                     g1.second_form.pp - g2.second_form.pp)
     det_rel = dh.det() / sigma_hat.det()
-    grid = sigma_hat.grid
-    jac = grid.quad_weights * sigma_hat.sqrt_det() / grid.sin_theta[:, None]
     support = (emb1.xyz * g1.normal).sum(0)
-    rhs = float(np.sum(jac * 2.0 * det_rel * support))
+    rhs = float(np.sum(calc.area_weights(sigma_hat) * 2.0 * det_rel * support))
     max_dh = float(max(np.max(np.abs(dh.tt)), np.max(np.abs(dh.tp)),
                        np.max(np.abs(dh.pp))))
-    _, rms = align_rigid(emb2.xyz, emb1.xyz, grid.quad_weights)
+    _, rms = align_rigid(emb2.xyz, emb1.xyz, sigma_hat.grid.quad_weights)
     return HerglotzReport(
         total_mean_curvature_diff=int_h1 - int_h2,
         herglotz_rhs=rhs,
@@ -485,10 +455,8 @@ def herglotz_report(sigma_hat, emb1, emb2, residual_tol=1e-6):
 
 def _isometry_defect(sigma_hat, emb):
     ind = emb.induced_metric()
-    scale = max(np.max(np.abs(sigma_hat.tt)), np.max(np.abs(sigma_hat.pp)))
-    return max(np.max(np.abs(ind.tt - sigma_hat.tt)),
-               np.max(np.abs(ind.tp - sigma_hat.tp)),
-               np.max(np.abs(ind.pp - sigma_hat.pp))) / scale
+    return _max_rel((ind.tt - sigma_hat.tt, ind.tp - sigma_hat.tp,
+                     ind.pp - sigma_hat.pp), sigma_hat.components())
 
 
 def align_rigid(xyz, target, weights):
@@ -532,19 +500,22 @@ class GraphEmbedding:
     lorentz_residual: float
 
 
-def graph_embedding(sigma, tau, solver=None, opts=None):
+def graph_embedding(sigma, tau, solver=None):
     """Lift (sigma, tau) to X = (tau, X_space) in Minkowski space.
 
-    The spatial part isometrically embeds sigma + dtau (x) dtau; the induced
-    Lorentz metric of the graph then reproduces sigma up to solver residual.
-    The mean-curvature vector is computed as the sigma-Laplacian of the four
-    coordinate functions.
+    The spatial part isometrically embeds sigma + dtau (x) dtau, with
+    ``solver`` or a fresh default :class:`WeylSolver`; the induced Lorentz
+    metric of the graph then reproduces sigma up to solver residual. The
+    mean-curvature vector is computed as the sigma-Laplacian of the four
+    coordinate functions. Raises :class:`AdmissibilityError` when the graph
+    metric is not strictly convex.
     """
     grid = same_grid(sigma, tau)
     sigma_hat = calc.metric_add_dtau(sigma, tau)
-    calc.require_positive_curvature(sigma_hat, "graph metric", PreconditionError)
+    calc.require_positive_curvature(
+        sigma_hat, "time function (graph metric)", AdmissibilityError)
     if solver is None:
-        solver = WeylSolver(grid, opts)
+        solver = WeylSolver(grid)
     emb = solver.solve(sigma_hat, check_curvature=False)
 
     lap_t = calc.laplacian(sigma, tau).values
@@ -555,11 +526,10 @@ def graph_embedding(sigma, tau, solver=None, opts=None):
 
     ind = emb.induced_metric()
     df = calc.gradient(sigma, tau)
-    scale = max(np.max(np.abs(sigma.tt)), np.max(np.abs(sigma.pp)))
-    lorentz_residual = max(
-        np.max(np.abs(ind.tt - df.a_theta ** 2 - sigma.tt)),
-        np.max(np.abs(ind.tp - df.a_theta * df.a_phi - sigma.tp)),
-        np.max(np.abs(ind.pp - df.a_phi ** 2 - sigma.pp))) / scale
+    lorentz_residual = _max_rel((ind.tt - df.a_theta ** 2 - sigma.tt,
+                                 ind.tp - df.a_theta * df.a_phi - sigma.tp,
+                                 ind.pp - df.a_phi ** 2 - sigma.pp),
+                                sigma.components())
     return GraphEmbedding(
         time=tau, space=emb, sigma=sigma, sigma_hat=sigma_hat,
         mean_vec=mean_vec, h0_sq=ScalarField(grid, h0_sq),

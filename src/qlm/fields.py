@@ -63,12 +63,6 @@ class ScalarField:
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample ``fn(theta, phi)`` on the grid."""
-        th, ph = grid.nodes
-        return cls(grid, fn(th, ph))
-
     def mean_round(self):
         """Average against the round measure."""
         return self.grid.integrate_round(self.values) / (4.0 * np.pi)

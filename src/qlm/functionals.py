@@ -45,6 +45,8 @@ __all__ = [
     "total_mean_curvature_variation",
 ]
 
+CACHE_SIZE = 16     # graph states kept by one EnergyWorkspace
+
 
 @dataclass(frozen=True)
 class SurfaceData:
@@ -96,13 +98,11 @@ class TimeFunction:
         return cls(ScalarField.constant(grid, 0.0))
 
     @classmethod
-    def from_modes(cls, grid, modes, lmax=None):
+    def from_modes(cls, grid, modes):
         """Build tau from {(l, m, kind): amplitude} in the orthonormal basis."""
         if not modes:
             return cls.zero(grid)
-        if lmax is None:
-            lmax = max(ell for ell, _, _ in modes)
-        basis = grid.basis(lmax)
+        basis = grid.basis(max(ell for ell, _, _ in modes))
         coeffs = np.zeros(basis.n_modes)
         for key, amp in modes.items():
             coeffs[basis.mode_index(*key)] = amp
@@ -146,16 +146,16 @@ class EnergyWorkspace:
     """Shared embedding solver and graph-state cache for one grid.
 
     Energy, density and Euler-Lagrange evaluations at one (data, tau) pair
-    share a single convex-embedding solve; the workspace keeps the most
-    recent states so optimizer sweeps and finite-difference probes do not
-    re-solve from scratch. Like the solver it wraps, a workspace is not
-    thread-safe: concurrent evaluations need separate instances.
+    share a single convex-embedding solve, made to the isometry tolerance
+    ``weyl_tol``; the workspace keeps the ``CACHE_SIZE`` most recent states
+    so optimizer sweeps and finite-difference probes do not re-solve from
+    scratch. Like the solver it wraps, a workspace is not thread-safe:
+    concurrent evaluations need separate instances.
     """
 
-    def __init__(self, grid, weyl_tol=1e-10, l_start=10, cache_size=16):
+    def __init__(self, grid, weyl_tol=1e-10):
         self.grid = grid
-        self.solver = WeylSolver(grid, WeylOptions(tol=weyl_tol, l_start=l_start))
-        self.cache_size = cache_size
+        self.solver = WeylSolver(grid, WeylOptions(tol=weyl_tol))
         self._states = OrderedDict()
 
     def graph_state(self, sigma, tau):
@@ -166,30 +166,46 @@ class EnergyWorkspace:
             return state
         state = self._build_state(sigma, tau)
         self._states[key] = state
-        while len(self._states) > self.cache_size:
+        while len(self._states) > CACHE_SIZE:
             self._states.popitem(last=False)
         return state
 
     def _build_state(self, sigma, tau):
-        grid = self.grid
-        sigma_hat = check_admissible(sigma, tau)
+        # graph_embedding raises AdmissibilityError on a non-convex graph
+        # metric, and its time component is the Laplacian of tau.
         graph = graph_embedding(sigma, tau.tau, solver=self.solver)
         geom = extract_geometry(graph.space)
         grad_tau = calc.gradient(sigma, tau.tau)
-        grad_sq = calc.norm_grad_sq(sigma, tau.tau)
-        w = np.sqrt(1.0 + grad_sq)
-        lap_tau = calc.laplacian(sigma, tau.tau)
-        reference = calc.integrate(sigma_hat, geom.mean_curvature)
         return {
             "sigma": sigma,
-            "sigma_hat": sigma_hat,
+            "sigma_hat": graph.sigma_hat,
             "graph": graph,
             "geom": geom,
             "grad_tau": grad_tau,
-            "w": w,
-            "lap_tau": lap_tau,
-            "reference": reference,
+            "w": _graph_w(sigma, grad_tau),
+            "lap_tau": ScalarField(self.grid, graph.mean_vec[0]),
+            "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
         }
+
+
+def _graph_w(sigma, grad_tau):
+    """sqrt(1 + |grad tau|^2), the area-form ratio of the graph metric."""
+    return np.sqrt(1.0 + calc.form_dot(sigma, grad_tau, grad_tau))
+
+
+def _canonical_angle(data, lap_tau, w):
+    """Boost angle asinh(-lap tau / (|H| w)) of the canonical gauge."""
+    return ScalarField(data.grid,
+                       np.arcsinh(-lap_tau / (data.h_norm.values * w)))
+
+
+def _physical_density(data, angle, w, grad_tau):
+    """Physical Hamiltonian density at gauge angle ``angle`` (raw array)."""
+    sigma = data.sigma
+    grad_angle = calc.gradient(sigma, angle)
+    return (w * np.cosh(angle.values) * data.h_norm.values
+            - calc.form_dot(sigma, grad_tau, grad_angle)
+            - calc.form_dot(sigma, data.alpha, grad_tau))
 
 
 def _workspace(data, workspace):
@@ -223,37 +239,25 @@ def boost_angle(data, tau):
     asinh of -(Laplacian tau) / (|H| * sqrt(1 + |grad tau|^2)); finite
     everywhere since |H| > 0.
     """
-    grid = same_grid(data.sigma, tau.tau)
     lap = calc.laplacian(data.sigma, tau.tau)
-    w = np.sqrt(1.0 + calc.norm_grad_sq(data.sigma, tau.tau))
-    return ScalarField(grid, np.arcsinh(-lap.values / (data.h_norm.values * w)))
+    w = _graph_w(data.sigma, calc.gradient(data.sigma, tau.tau))
+    return _canonical_angle(data, lap.values, w)
 
 
-def _physical_term(data, tau, angle, w=None, grad_tau=None):
+def _physical_term(data, angle, w, grad_tau):
     """(1/8 pi) * integral of the gauge-dependent Hamiltonian density."""
-    sigma = data.sigma
-    if grad_tau is None:
-        grad_tau = calc.gradient(sigma, tau.tau)
-    if w is None:
-        w = np.sqrt(1.0 + calc.norm_grad_sq(sigma, tau.tau))
-    grad_angle = calc.gradient(sigma, angle)
-    density = (w * np.cosh(angle.values) * data.h_norm.values
-               - calc.form_dot(sigma, grad_tau, grad_angle)
-               - calc.form_dot(sigma, data.alpha, grad_tau))
-    return calc.integrate(sigma, ScalarField(data.grid, density)) / (8.0 * np.pi)
+    density = _physical_density(data, angle, w, grad_tau)
+    return calc.integrate(data.sigma,
+                          ScalarField(data.grid, density)) / (8.0 * np.pi)
 
 
 def wang_yau_energy(data, tau, workspace=None, with_density=False):
     """Quasi-local energy of (data, tau): reference term minus physical term."""
     ws = _workspace(data, workspace)
     state = ws.graph_state(data.sigma, tau)
-    angle = ScalarField(
-        data.grid,
-        np.arcsinh(-state["lap_tau"].values
-                   / (data.h_norm.values * state["w"])))
+    angle = _canonical_angle(data, state["lap_tau"].values, state["w"])
     reference = state["reference"] / (8.0 * np.pi)
-    physical = _physical_term(data, tau, angle,
-                              w=state["w"], grad_tau=state["grad_tau"])
+    physical = _physical_term(data, angle, state["w"], state["grad_tau"])
     rho = mass_density(data, tau, workspace=ws) if with_density else None
     return EnergyBreakdown(
         reference_term=reference,
@@ -273,7 +277,8 @@ def gauge_functional(data, tau, phi):
         angle = phi
     else:
         angle = ScalarField(data.grid, phi)
-    return _physical_term(data, tau, angle)
+    grad_tau = calc.gradient(data.sigma, tau.tau)
+    return _physical_term(data, angle, _graph_w(data.sigma, grad_tau), grad_tau)
 
 
 def mass_density(data, tau, workspace=None):
@@ -307,10 +312,7 @@ def euler_lagrange_residual(data, tau, workspace=None):
     w = state["w"]
 
     itt, itp, ipp = sigma_hat.inverse_components()
-    h = geom.second_form
-    h_tt = itt * itt * h.tt + 2.0 * itt * itp * h.tp + itp * itp * h.pp
-    h_tp = itt * itp * h.tt + (itt * ipp + itp * itp) * h.tp + itp * ipp * h.pp
-    h_pp = itp * itp * h.tt + 2.0 * itp * ipp * h.tp + ipp * ipp * h.pp
+    h_tt, h_tp, h_pp = calc.raise_indices(sigma_hat, geom.second_form)
     mean_h = geom.mean_curvature.values
     a_tt = h_tt - mean_h * itt
     a_tp = h_tp - mean_h * itp
@@ -319,9 +321,7 @@ def euler_lagrange_residual(data, tau, workspace=None):
     hess = calc.covariant_hessian(sigma, tau.tau)
     bulk = (a_tt * hess.tt + 2.0 * a_tp * hess.tp + a_pp * hess.pp) / w
 
-    angle = ScalarField(
-        data.grid,
-        np.arcsinh(-state["lap_tau"].values / (data.h_norm.values * w)))
+    angle = _canonical_angle(data, state["lap_tau"].values, w)
     grad_angle = calc.gradient(sigma, angle)
     factor = np.cosh(angle.values) * data.h_norm.values / w
     flux_form = state["grad_tau"] * factor - grad_angle - data.alpha
@@ -338,14 +338,8 @@ def conservation_defect(data, tau, workspace=None):
     """
     ws = _workspace(data, workspace)
     state = ws.graph_state(data.sigma, tau)
-    angle = ScalarField(
-        data.grid,
-        np.arcsinh(-state["lap_tau"].values
-                   / (data.h_norm.values * state["w"])))
-    grad_angle = calc.gradient(data.sigma, angle)
-    density = (state["w"] * np.cosh(angle.values) * data.h_norm.values
-               - calc.form_dot(data.sigma, state["grad_tau"], grad_angle)
-               - calc.form_dot(data.sigma, data.alpha, state["grad_tau"]))
+    angle = _canonical_angle(data, state["lap_tau"].values, state["w"])
+    density = _physical_density(data, angle, state["w"], state["grad_tau"])
     lhs = state["geom"].mean_curvature.values * state["w"]
     return ScalarField(data.grid, lhs - density)
 
@@ -362,16 +356,11 @@ def total_mean_curvature_variation(sigma_hat, delta, workspace=None):
         workspace = EnergyWorkspace(grid)
     emb = workspace.solver.solve(sigma_hat)
     geom = extract_geometry(emb)
-    itt, itp, ipp = sigma_hat.inverse_components()
     mean_h = geom.mean_curvature.values
     b_tt = geom.second_form.tt - mean_h * sigma_hat.tt
     b_tp = geom.second_form.tp - mean_h * sigma_hat.tp
     b_pp = geom.second_form.pp - mean_h * sigma_hat.pp
-
-    # Raise both indices of delta with sigma_hat.
-    d_tt = itt * itt * delta.tt + 2.0 * itt * itp * delta.tp + itp * itp * delta.pp
-    d_tp = itt * itp * delta.tt + (itt * ipp + itp * itp) * delta.tp + itp * ipp * delta.pp
-    d_pp = itp * itp * delta.tt + 2.0 * itp * ipp * delta.tp + ipp * ipp * delta.pp
+    d_tt, d_tp, d_pp = calc.raise_indices(sigma_hat, delta)
 
     pairing = b_tt * d_tt + 2.0 * b_tp * d_tp + b_pp * d_pp
     return -0.5 * calc.integrate(sigma_hat, ScalarField(grid, pairing))

@@ -16,10 +16,9 @@ import numpy as np
 from .errors import InvalidFieldError
 from .harmonics import RealHarmonicBasis, SphereTransform, gauss_legendre_colatitude
 
-__all__ = ["SphereGrid", "sphere_grid", "default_grid", "DEFAULT_N_THETA", "DEFAULT_N_PHI"]
+__all__ = ["SphereGrid", "sphere_grid", "DEFAULT_N_THETA"]
 
 DEFAULT_N_THETA = 48
-DEFAULT_N_PHI = 96
 
 
 class SphereGrid:
@@ -85,7 +84,3 @@ def sphere_grid(n_theta=DEFAULT_N_THETA, n_phi=None):
     if n_phi is None:
         n_phi = 2 * n_theta
     return SphereGrid(n_theta, n_phi)
-
-
-def default_grid():
-    return sphere_grid(DEFAULT_N_THETA, DEFAULT_N_PHI)

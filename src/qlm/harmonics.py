@@ -250,13 +250,6 @@ class RealHarmonicBasis:
         t = self.transform
         return (self.values @ coeffs).reshape(t.n_theta, t.n_phi)
 
-    def synthesize_grad(self, coeffs):
-        """(d_theta, d_phi) fields from a coefficient vector."""
-        t = self.transform
-        shape = (t.n_theta, t.n_phi)
-        return ((self.d_theta @ coeffs).reshape(shape),
-                (self.d_phi @ coeffs).reshape(shape))
-
     def analyze(self, values):
         """Round-measure projection of a field onto the basis."""
         return self.values.T @ (self.node_weights * values.ravel())

@@ -12,7 +12,6 @@ density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -20,8 +19,9 @@ from . import calculus as calc
 from .catalog import surface_data_from_embedding
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .fields import ScalarField
-from .functionals import (EnergyWorkspace, TimeFunction, euler_lagrange_residual,
-                          mass_density, wang_yau_energy)
+from .functionals import (EnergyWorkspace, TimeFunction, _workspace,
+                          euler_lagrange_residual, mass_density,
+                          wang_yau_energy)
 
 __all__ = [
     "OptimalSolveOptions",
@@ -33,6 +33,10 @@ __all__ = [
     "comparison_check",
 ]
 
+INITIAL_TRUST = 0.05    # trust radius of the first step
+MIN_TRUST = 1e-6        # the descent gives up below this radius
+FD_STEP = 1e-4          # central-difference step of hessian_check
+
 
 @dataclass
 class OptimalSolveOptions:
@@ -41,8 +45,6 @@ class OptimalSolveOptions:
     tol: float = 1e-6            # L2 norm of the Euler-Lagrange residual
     max_iter: int = 200
     l_max_tau: int = 16
-    initial_trust: float = 0.05
-    min_trust: float = 1e-6
     weyl_tol: float = 1e-11
 
 
@@ -53,7 +55,6 @@ class OptimalSolveResult:
     el_residual_norm: float
     iterations: int
     converged: bool
-    hessian_min_eig: Optional[float] = None
     energy_path: tuple = ()
 
 
@@ -64,9 +65,7 @@ class _EnergyModel:
         self.data = data
         self.basis = basis
         self.workspace = workspace
-        grid = data.grid
-        self._proj = (grid.quad_weights
-                      * data.sigma.sqrt_det() / grid.sin_theta[:, None]).ravel()
+        self._proj = calc.area_weights(data.sigma).ravel()
 
     def tau(self, coeffs):
         return TimeFunction(ScalarField(self.data.grid,
@@ -77,13 +76,17 @@ class _EnergyModel:
                                workspace=self.workspace).energy
 
     def gradient(self, coeffs):
-        """(gradient vector, residual field, L2 residual norm)."""
-        residual = euler_lagrange_residual(self.data, self.tau(coeffs),
+        return self.gradient_at(self.basis.synthesize(coeffs))
+
+    def gradient_at(self, tau_values):
+        """(coefficient-space gradient, L2 residual norm) at tau = tau_values."""
+        tau = TimeFunction(ScalarField(self.data.grid, tau_values))
+        residual = euler_lagrange_residual(self.data, tau,
                                            workspace=self.workspace)
         weighted = self._proj * residual.values.ravel()
         grad = (self.basis.values.T @ weighted) / (8.0 * np.pi)
         norm = float(np.sqrt(np.sum(weighted * residual.values.ravel())))
-        return grad, residual, norm
+        return grad, norm
 
     def hessian_seed(self):
         """Leading-order diagonal curvature model.
@@ -128,16 +131,15 @@ def _trust_step(b_mat, grad, radius):
     return evecs @ p
 
 
-def solve_optimal(data, tau0, opts=None, workspace=None, hessian_modes=0):
+def solve_optimal(data, tau0, opts=None, workspace=None):
     """Descend the energy to a critical time function.
 
     Starts from ``tau0`` (projected onto the optimization basis, mean mode
     dropped) and terminates when the L2 norm of the Euler-Lagrange residual
     falls below ``opts.tol``. Iterates whose graph metric loses convexity are
-    rejected and the trust region shrunk; collapse of the trust region raises
-    :class:`ConvergenceError` with diagnostics. With ``hessian_modes`` > 0
-    the reduced second variation is evaluated at the solution and its
-    smallest eigenvalue reported on the result.
+    rejected and the trust region shrunk; collapse of the trust region below
+    ``MIN_TRUST`` raises :class:`ConvergenceError` with diagnostics. The
+    stability of the result is checked separately, by :func:`hessian_check`.
     """
     opts = opts or OptimalSolveOptions()
     grid = data.grid
@@ -152,9 +154,9 @@ def solve_optimal(data, tau0, opts=None, workspace=None, hessian_modes=0):
         f = model.energy(x)
     except AdmissibilityError as exc:
         raise PreconditionError(f"starting time function inadmissible: {exc}")
-    g, _, res_norm = model.gradient(x)
+    g, res_norm = model.gradient(x)
     b_mat = np.diag(model.hessian_seed())
-    radius = max(opts.initial_trust, 1e-3)
+    radius = INITIAL_TRUST
     energy_path = [f]
 
     iterations = 0
@@ -165,7 +167,7 @@ def solve_optimal(data, tau0, opts=None, workspace=None, hessian_modes=0):
         noise = 1e-12 * (1.0 + abs(f))
         try:
             f_new = model.energy(x + p)
-            g_new, _, res_new = model.gradient(x + p)
+            g_new, res_new = model.gradient(x + p)
             if predicted > noise:
                 ratio = (f - f_new) / predicted
                 accept = ratio > 1e-3
@@ -191,27 +193,18 @@ def solve_optimal(data, tau0, opts=None, workspace=None, hessian_modes=0):
                 radius *= 0.5
         else:
             radius *= 0.25
-        if radius < opts.min_trust:
+        if radius < MIN_TRUST:
             raise ConvergenceError(
                 "trust region collapsed before reaching tolerance",
                 diagnostics={"residual_norm": res_norm, "energy": f,
                              "iterations": iterations, "trust_radius": radius})
 
-    tau_star = model.tau(x).mean_removed()
-    converged = bool(res_norm < opts.tol)
-    min_eig = None
-    if hessian_modes > 0 and converged:
-        report = hessian_check(data, tau_star, n_modes=hessian_modes,
-                               workspace=workspace,
-                               residual_tol=max(1e-5, 10.0 * opts.tol))
-        min_eig = report.min_eigenvalue
     return OptimalSolveResult(
-        tau_star=tau_star,
+        tau_star=model.tau(x).mean_removed(),
         energy=f,
         el_residual_norm=res_norm,
         iterations=iterations,
-        converged=converged,
-        hessian_min_eig=min_eig,
+        converged=bool(res_norm < opts.tol),
         energy_path=tuple(energy_path))
 
 
@@ -226,7 +219,7 @@ class HessianReport:
         return float(self.eigenvalues.min())
 
 
-def hessian_check(data, tau_star, n_modes=15, eps=1e-4, workspace=None,
+def hessian_check(data, tau_star, n_modes=15, workspace=None,
                   residual_tol=1e-5):
     """Reduced second variation at a critical point by residual differencing.
 
@@ -238,23 +231,10 @@ def hessian_check(data, tau_star, n_modes=15, eps=1e-4, workspace=None,
     are differenced where they are actually critical.
     """
     grid = data.grid
-    if workspace is None:
-        workspace = EnergyWorkspace(grid)
     l_needed = int(np.ceil(np.sqrt(n_modes + 1))) + 1
     basis = grid.basis(max(4, l_needed), lmin=1)
-    proj = (grid.quad_weights
-            * data.sigma.sqrt_det() / grid.sin_theta[:, None]).ravel()
-
-    def gradient_at(tau_values):
-        residual = euler_lagrange_residual(
-            data, TimeFunction(ScalarField(grid, tau_values)),
-            workspace=workspace)
-        weighted = proj * residual.values.ravel()
-        grad = (basis.values.T @ weighted)[:n_modes] / (8.0 * np.pi)
-        norm = float(np.sqrt(np.sum(weighted * residual.values.ravel())))
-        return grad, norm
-
-    _, res0 = gradient_at(tau_star.tau.values)
+    model = _EnergyModel(data, basis, _workspace(data, workspace))
+    _, res0 = model.gradient_at(tau_star.tau.values)
     if res0 > residual_tol:
         raise PreconditionError(
             f"hessian requested away from a critical point "
@@ -264,9 +244,9 @@ def hessian_check(data, tau_star, n_modes=15, eps=1e-4, workspace=None,
     cols = []
     for j in range(n_modes):
         direction = basis.values[:, j].reshape(shape)
-        g_plus, _ = gradient_at(tau_star.tau.values + eps * direction)
-        g_minus, _ = gradient_at(tau_star.tau.values - eps * direction)
-        cols.append((g_plus - g_minus) / (2.0 * eps))
+        g_plus, _ = model.gradient_at(tau_star.tau.values + FD_STEP * direction)
+        g_minus, _ = model.gradient_at(tau_star.tau.values - FD_STEP * direction)
+        cols.append((g_plus - g_minus)[:n_modes] / (2.0 * FD_STEP))
     raw = np.array(cols).T
     sym_defect = float(np.max(np.abs(raw - raw.T))
                        / max(np.max(np.abs(raw)), 1e-300))
@@ -297,8 +277,7 @@ def comparison_check(data, tau_star, tau, workspace=None):
     constant.
     """
     grid = data.grid
-    if workspace is None:
-        workspace = EnergyWorkspace(grid)
+    workspace = _workspace(data, workspace)
     rho = mass_density(data, tau_star, workspace=workspace)
     if rho.values.min() <= 0:
         raise PreconditionError(

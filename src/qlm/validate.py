@@ -22,7 +22,8 @@ import numpy as np
 from . import calculus as calc
 from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                       lightcone_rigidity_report, mass_relation_check,
-                      minkowski_surface_data, schwarzschild_sphere_data)
+                      minkowski_surface_data, schwarzschild_sphere_data,
+                      surface_data_from_embedding)
 from .errors import QlmError
 from .fields import Metric2, ScalarField
 from .functionals import (EnergyWorkspace, TimeFunction, boost_angle, byly_mass,
@@ -112,30 +113,31 @@ class ValidationContext:
         return self.memo("shi_tam", lambda: shi_tam_flow(
             4.0, 1.0 / np.sqrt(0.5), r_max=2048.0))
 
-    def random_band_limited(self, count, lmax=8, decay=0.7):
+    def random_band_limited(self, count):
+        """``count`` random fields of degree 1..5 drawn from the run's seed."""
         rng = np.random.default_rng(self.seed)
-        basis = self.grid.basis(lmax, lmin=1)
+        basis = self.grid.basis(5, lmin=1)
         ells = np.array([ell for ell, _, _ in basis.modes], dtype=float)
         out = []
         for _ in range(count):
-            coeffs = rng.standard_normal(basis.n_modes) * np.exp(-decay * ells)
+            coeffs = rng.standard_normal(basis.n_modes) * np.exp(-0.7 * ells)
             out.append(ScalarField(self.grid, basis.synthesize(coeffs)))
         return out
 
 
-def _el_gradient_defect(ctx, data, tau, n_dirs=5, eps=1e-5):
-    """Worst residual-vs-finite-difference defect over random directions.
+def _el_gradient_defect(ctx, data, tau):
+    """Worst residual-vs-finite-difference defect over 5 random directions.
 
     Relative to the largest directional derivative in the batch: a random
     direction can land nearly orthogonal to the gradient, and a per-direction
     quotient would then compare two numbers at the probe's noise floor.
     """
-    grid = ctx.grid
+    eps = 1e-5
     ws = ctx.workspace
     res = euler_lagrange_residual(data, tau, workspace=ws)
-    jac = grid.quad_weights * data.sigma.sqrt_det() / grid.sin_theta[:, None]
+    jac = calc.area_weights(data.sigma)
     pairs = []
-    for delta in ctx.random_band_limited(n_dirs, lmax=5):
+    for delta in ctx.random_band_limited(5):
         e_plus = wang_yau_energy(data, TimeFunction(tau.tau + delta * eps),
                                  workspace=ws).energy
         e_minus = wang_yau_energy(data, TimeFunction(tau.tau + delta * (-eps)),
@@ -175,7 +177,6 @@ def _spectral_errors(n_theta, sharp=False):
             f * np.stack([np.sin(grid.nodes[0]) * np.cos(grid.nodes[1]),
                           np.sin(grid.nodes[0]) * np.sin(grid.nodes[1]),
                           np.cos(grid.nodes[0])])])
-        from .catalog import surface_data_from_embedding
         data, _ = surface_data_from_embedding(grid, chart)
         sigma = data.sigma
     else:
@@ -236,7 +237,6 @@ def _checks():
 
     @add("ellipsoid-total-mean-curvature")
     def _(ctx):
-        th, ph = ctx.grid.nodes
         axes = (1.0, 1.0, 1.2)
         surface = minkowski_surface_data(
             MinkowskiSurfaceSpec("flat_r3", axes=axes), ctx.grid)
@@ -473,9 +473,9 @@ def check_ids():
     return [check_id for check_id, _ in _checks()]
 
 
-def run_validation(resolution=48, only=None, seed=42, context=None):
+def run_validation(resolution=48, only=None, seed=42):
     """Run the registry; returns a list of CheckResult."""
-    ctx = context or ValidationContext(resolution=resolution, seed=seed)
+    ctx = ValidationContext(resolution=resolution, seed=seed)
     wanted = None if only is None else set(only)
     results = []
     for check_id, fn in _checks():

@@ -6,13 +6,14 @@ from conftest import random_band_limited
 from qlm import calculus as calc
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data)
-from qlm.errors import GeometryError, PreconditionError
+from qlm.errors import AdmissibilityError, GeometryError, PreconditionError
 from qlm.fields import Metric2, OneForm, ScalarField, SymTensor2
 from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
                              boost_angle, byly_mass, conservation_defect,
                              euler_lagrange_residual, gauge_functional,
                              hawking_mass, mass_density,
                              total_mean_curvature_variation, wang_yau_energy)
+from qlm.grid import sphere_grid
 
 BYLY_M1_R4 = 4.0 * (1.0 - np.sqrt(0.5))
 
@@ -239,6 +240,24 @@ def test_steep_time_function_is_inadmissible(grid32):
     steep = TimeFunction.from_modes(grid32, {(2, 1, 0): 1.5})
     with pytest.raises(PreconditionError):
         mass_density(data, steep)
+    # solve_optimal rejects a trial step on exactly this subclass.
+    with pytest.raises(AdmissibilityError, match="time function"):
+        EnergyWorkspace(grid32).graph_state(data.sigma, steep)
+
+
+def test_graph_state_builds_graph_metric_once(monkeypatch):
+    grid = sphere_grid(16, 32)
+    calls = {"metric_add_dtau": 0, "gauss_curvature": 0}
+    for name in calls:
+        original = getattr(calc, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(calc, name, counted)
+    tau = TimeFunction.from_modes(grid, {(1, 0, 0): 0.1})
+    EnergyWorkspace(grid).graph_state(Metric2.round(grid, 2.0), tau)
+    assert calls == {"metric_add_dtau": 1, "gauss_curvature": 1}
 
 
 def test_el_residual_timeflat_and_translation(grid32, schw32, ws32):

@@ -6,7 +6,7 @@ import pytest
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data)
 from qlm.cli import main
-from qlm.datafile import RunConfig, load_surface_data, save_surface_data
+from qlm.datafile import load_surface_data, save_surface_data
 from qlm.errors import InputFileError
 from qlm.grid import sphere_grid
 
@@ -67,12 +67,6 @@ def test_load_rejects_malformed_documents(tmp_path, grid16, schw_file):
         load_surface_data(flat)
 
 
-def test_run_config_validation():
-    with pytest.raises(InputFileError):
-        RunConfig(weyl_tol=-1.0)
-    assert RunConfig().seed == 42
-
-
 def test_cli_compute_hawking(schw_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["compute", schw_file, "--which", "hawking",
@@ -93,6 +87,15 @@ def test_cli_rejects_nonpositive_tolerances(schw_file):
     assert main(["compute", schw_file, "--which", "byly",
                  "--weyl-tol=-1e-8"]) == 2
     assert main(["optimal", schw_file, "--tol", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "graph", "--modes", "1,2:3", "--out", "unused.json"],
+    ["plotdata", "mass-curves", "--r-range", "2.5"],
+    ["plotdata", "stability"],
+])
+def test_cli_rejects_malformed_arguments(argv):
+    assert main(argv) == 2
 
 
 def test_cli_compute_rejects_zero_h(tmp_path, schw_file):

@@ -150,11 +150,12 @@ def test_nontrivial_critical_point(grid32, schw32):
     result = solve_optimal(
         data, TimeFunction.zero(grid32),
         OptimalSolveOptions(tol=1e-8, l_max_tau=12, weyl_tol=1e-11),
-        workspace=ws, hessian_modes=8)
+        workspace=ws)
     assert result.converged
     assert np.max(np.abs(result.tau_star.tau.values)) > 1e-3
     assert result.energy < e0
-    assert result.hessian_min_eig > 0.0
+    rep = hessian_check(data, result.tau_star, n_modes=8, workspace=ws)
+    assert rep.min_eigenvalue > 0.0
 
 
 def test_trust_region_collapse_raises(grid32):
