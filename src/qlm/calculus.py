@@ -164,14 +164,13 @@ def gauss_curvature(sigma):
     return ScalarField(grid, (det1 - det2) / det_sigma ** 2)
 
 
-def metric_add_dtau(sigma, tau):
-    """Graph metric sigma + dtau (x) dtau."""
-    grid = same_grid(sigma, tau)
-    df = gradient(sigma, tau)
+def metric_add_dtau(sigma, dtau):
+    """Graph metric sigma + dtau (x) dtau of the differential ``dtau``."""
+    grid = same_grid(sigma, dtau)
     return Metric2(grid,
-                   sigma.tt + df.a_theta ** 2,
-                   sigma.tp + df.a_theta * df.a_phi,
-                   sigma.pp + df.a_phi ** 2)
+                   sigma.tt + dtau.a_theta ** 2,
+                   sigma.tp + dtau.a_theta * dtau.a_phi,
+                   sigma.pp + dtau.a_phi ** 2)
 
 
 def hodge_star(sigma, omega):

@@ -68,6 +68,14 @@ def _positive_float(text):
     return value
 
 
+def _axes(text):
+    """argparse type: 'a,b,c' as three positive semi-axes."""
+    axes = tuple(_positive_float(v) for v in text.split(","))
+    if len(axes) != 3:
+        raise argparse.ArgumentTypeError(f"expected 'a,b,c', got {text!r}")
+    return axes
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -138,9 +146,8 @@ def cmd_catalog(args):
                     "log_modes": {f"{k[0]},{k[1]},{k[2]}": v
                                   for k, v in spec.log_modes.items()}}
         elif args.kind == "flat":
-            axes = tuple(float(v) for v in args.axes.split(","))
-            spec = MinkowskiSurfaceSpec("flat_r3", axes=axes)
-            meta = {"kind": args.kind, "axes": list(axes)}
+            spec = MinkowskiSurfaceSpec("flat_r3", axes=args.axes)
+            meta = {"kind": args.kind, "axes": list(args.axes)}
         elif args.kind == "boosted":
             spec = MinkowskiSurfaceSpec("boosted_sphere", radius=args.r,
                                         velocity=args.v)
@@ -181,7 +188,7 @@ def cmd_optimal(args):
     result = solve_optimal(
         data, tau0,
         OptimalSolveOptions(tol=args.tol, l_max_tau=args.l_max_tau,
-                            weyl_tol=args.weyl_tol, max_iter=args.max_iter),
+                            max_iter=args.max_iter),
         workspace=workspace)
     if not result.converged:
         print(f"solver failure: optimizer hit the iteration cap at residual "
@@ -320,7 +327,8 @@ def build_parser():
     p.add_argument("--bump", type=float, default=0.1,
                    help="zonal log-amplitude of a light-cone cut")
     p.add_argument("--bump-l", type=int, default=2)
-    p.add_argument("--axes", default="1,1,1.2", help="flat ellipsoid axes")
+    p.add_argument("--axes", type=_axes, default="1,1,1.2",
+                   help="flat ellipsoid axes 'a,b,c'")
     p.add_argument("--modes", type=_modes, default="",
                    help="harmonic modes 'l,m,kind:amp;...' (graph/lightcone)")
     p.add_argument("--resolution", type=int, default=48)
@@ -372,16 +380,9 @@ def main(argv=None):
     except SystemExit as exc:
         # Usage errors (exit 2), --help and --version.
         return exc.code
-    from .errors import (ConvergenceError, DomainError, GenerationError,
-                         GeometryError, GridMismatchError, InputFileError,
-                         InvalidFieldError, InvalidMetricError,
-                         PreconditionError, QlmError)
+    from .errors import ConvergenceError, GeometryError, QlmError
     try:
         return args.func(args)
-    except (InputFileError, DomainError, GenerationError, PreconditionError,
-            InvalidFieldError, InvalidMetricError, GridMismatchError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (ConvergenceError, GeometryError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.diagnostics:

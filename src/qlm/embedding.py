@@ -16,6 +16,7 @@ Minkowski space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -23,14 +24,14 @@ import scipy.linalg
 from . import calculus as calc
 from .errors import (AdmissibilityError, ConvergenceError, GeometryError,
                      PreconditionError)
-from .fields import Metric2, ScalarField, SymTensor2, same_grid, worst_node
+from .fields import (Metric2, OneForm, ScalarField, SymTensor2, same_grid,
+                     worst_node)
 from .grid import SphereGrid
 
 __all__ = [
     "EmbeddingR3",
     "EmbeddedGeometry",
     "GraphEmbedding",
-    "WeylOptions",
     "WeylSolver",
     "solve_weyl",
     "extract_geometry",
@@ -56,10 +57,15 @@ class EmbeddingR3:
         arr.setflags(write=False)
         object.__setattr__(self, "xyz", arr)
 
-    def induced_metric(self):
+    @cached_property
+    def tangents(self):
+        """Tangent vectors (X_theta, X_phi), each (3, n_theta, n_phi)."""
         t = self.grid.transform
-        xt = np.stack([t.dtheta(c, 0) for c in self.xyz])
-        xp = np.stack([t.dphi(c) for c in self.xyz])
+        return (np.stack([t.dtheta(c, 0) for c in self.xyz]),
+                np.stack([t.dphi(c) for c in self.xyz]))
+
+    def induced_metric(self):
+        xt, xp = self.tangents
         return Metric2(self.grid,
                        (xt * xt).sum(0), (xt * xp).sum(0), (xp * xp).sum(0))
 
@@ -78,29 +84,12 @@ class EmbeddedGeometry:
     second_form: SymTensor2
     lambda1: ScalarField          # principal curvatures, lambda1 >= lambda2
     lambda2: ScalarField
-    induced: Metric2
 
 
-MIN_STEP = 1e-4     # the continuation gives up below this step
-MAX_GN_ITER = 25    # Gauss-Newton steps per continuation target
-
-
-class WeylOptions:
-    """Tuning knobs for :class:`WeylSolver`.
-
-    tol : target max-node isometry residual (relative).
-    l_start / l_cap : initial and maximal harmonic degree of the unknowns;
-        the cap defaults to 2/3 of the grid degree to leave an anti-aliasing
-        margin.
-    continuation_step : initial continuation step, halved on stalls at the cap.
-    """
-
-    def __init__(self, tol=1e-8, l_start=10, l_cap=None,
-                 continuation_step=0.25):
-        self.tol = tol
-        self.l_start = l_start
-        self.l_cap = l_cap
-        self.continuation_step = continuation_step
+L_START = 10              # harmonic degree a cold continuation starts from
+CONTINUATION_STEP = 0.25  # first continuation step, halved on stalls at the cap
+MIN_STEP = 1e-4           # the continuation gives up below this step
+MAX_GN_ITER = 25          # Gauss-Newton steps per continuation target
 
 
 def _max_rel(res, target):
@@ -135,15 +124,18 @@ class WeylSolver:
     the previous solution and normal-matrix factorization. Instances are
     single-threaded state machines: share inputs and outputs freely (both
     are immutable), but give each concurrent solve its own instance.
+
+    ``tol`` is the relative max-node isometry residual to reach. Cold solves
+    start at degree ``L_START`` with step ``CONTINUATION_STEP``; the degree
+    cap ``l_cap``, 2/3 of the grid degree (at least 8), leaves an
+    anti-aliasing margin.
     """
 
-    def __init__(self, grid, opts=None):
+    def __init__(self, grid, tol=1e-8):
         self.grid = grid
-        self.opts = opts or WeylOptions()
-        n23 = max(8, (2 * grid.n_theta) // 3)
-        self.l_cap = self.opts.l_cap or n23
-        self._warm_coeffs = None
-        self._warm_l = None
+        self.tol = tol
+        self.l_cap = max(8, (2 * grid.n_theta) // 3)
+        self._warm = None           # (basis, coefficients) of the last solve
         self._factor = None
         self._factor_l = None
         w = grid.quad_weights
@@ -153,9 +145,6 @@ class WeylSolver:
         self._w_pp = w / sin2 ** 2
 
     # -- residual machinery -------------------------------------------------
-
-    def _basis(self, l_max):
-        return self.grid.basis(l_max, lmin=1)
 
     def _fields(self, basis, coeffs):
         shape = (self.grid.n_theta, self.grid.n_phi)
@@ -222,15 +211,15 @@ class WeylSolver:
             jtj += gamma2 * np.outer(row, row)
         return jtj
 
-    def _factorize(self, jtj, damping):
-        d = jtj.diagonal().copy()
-        a = jtj + np.diag(damping * d + 1e-14 * d.max())
+    def _factorize(self, jtj):
+        d = jtj.diagonal()
+        a = jtj + np.diag(np.full_like(d, 1e-14 * d.max()))
         return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
 
     # -- Gauss-Newton core ---------------------------------------------------
 
     def _gauss_newton(self, coeffs, basis, target, tol, allow_stale=True):
-        """Iterate to ``tol`` on the given target; returns (coeffs, rel, ok)."""
+        """Iterate to ``tol``; returns (coeffs, coordinates x, rel, ok)."""
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
@@ -239,10 +228,10 @@ class WeylSolver:
                  and self._factor_l == basis.lmax)
         for _ in range(MAX_GN_ITER):
             if rel < tol:
-                return coeffs, rel, True
+                return coeffs, x, rel, True
             if not stale:
                 jtj = self._normal_matrix(basis, x, xt, xp)
-                self._factor = self._factorize(jtj, 0.0)
+                self._factor = self._factorize(jtj)
                 self._factor_l = basis.lmax
             g = self._gradient(basis, xt, xp, res)
             step = scipy.linalg.cho_solve(self._factor, g, check_finite=False)
@@ -263,19 +252,19 @@ class WeylSolver:
                 if stale:
                     stale = False     # retry with a fresh factorization
                     continue
-                return coeffs, rel, rel < tol
+                return coeffs, x, rel, rel < tol
             slow = obj2 > 0.01 * obj
             coeffs, x, xt, xp, res, obj = trial, x2, xt2, xp2, res2, obj2
             rel = _max_rel(res, target)
             if stale and slow:
                 stale = False
-        return coeffs, rel, rel < tol
+        return coeffs, x, rel, rel < tol
 
     def solve(self, sigma_hat, check_curvature=True):
         """Solve <dX, dX> = sigma_hat; returns an :class:`EmbeddingR3`.
 
         Gauss-Newton from the previous solution first; if that misses
-        ``opts.tol``, continuation from the area-matched round sphere, growing
+        ``tol``, continuation from the area-matched round sphere, growing
         the degree by 8 on each stall up to the cap. A stall at the cap raises
         :class:`ConvergenceError` carrying the last iterate.
         """
@@ -285,31 +274,30 @@ class WeylSolver:
         if check_curvature:
             calc.require_positive_curvature(
                 sigma_hat, "isometric embedding target", PreconditionError)
-        opts = self.opts
         target_full = np.stack(sigma_hat.components())
 
-        if self._warm_coeffs is not None:
-            coeffs, rel, ok = self._gauss_newton(
-                self._warm_coeffs, self._basis(self._warm_l), target_full,
-                opts.tol)
+        if self._warm is not None:
+            basis, warm = self._warm
+            coeffs, x, rel, ok = self._gauss_newton(
+                warm, basis, target_full, self.tol)
             if ok:
-                return self._package(coeffs, rel)
+                return self._package(basis, coeffs, x, rel)
 
-        l_now = min(opts.l_start, self.l_cap)
-        basis = self._basis(l_now)
+        l_now = min(L_START, self.l_cap)
+        basis = self.grid.basis(l_now, lmin=1)
         radius = np.sqrt(calc.area(sigma_hat) / (4.0 * np.pi))
         coeffs = _round_coefficients(basis, radius)
         round_components = np.stack(Metric2.round(grid, radius).components())
 
         t = 0.0
-        step = opts.continuation_step
+        step = CONTINUATION_STEP
         self._factor = None
         while t < 1.0:
             t_next = min(1.0, t + step)
             target = (1.0 - t_next) * round_components + t_next * target_full
             # Mid-path solves only have to hand the next step a usable start.
-            tol_here = opts.tol if t_next >= 1.0 else max(10.0 * opts.tol, 1e-5)
-            trial, rel, ok = self._gauss_newton(
+            tol_here = self.tol if t_next >= 1.0 else max(10.0 * self.tol, 1e-5)
+            trial, x, rel, ok = self._gauss_newton(
                 coeffs, basis, target, tol_here, allow_stale=False)
             if ok:
                 coeffs, t = trial, t_next
@@ -317,7 +305,7 @@ class WeylSolver:
                 # Truncation-limited rather than diverging: enlarge the basis
                 # and retry the same continuation target.
                 l_now = min(l_now + 8, self.l_cap)
-                basis = self._basis(l_now)
+                basis = self.grid.basis(l_now, lmin=1)
                 grown = np.zeros((3, basis.n_modes))
                 grown[:, :trial.shape[1]] = trial
                 coeffs = grown
@@ -327,31 +315,27 @@ class WeylSolver:
                 if step < MIN_STEP:
                     at_cap = (t_next >= 1.0 and rel < 1e-3)
                     why = (f"residual floor {rel:.3e} at the degree cap "
-                           f"L={self.l_cap} exceeds tolerance {opts.tol:.1e}"
+                           f"L={self.l_cap} exceeds tolerance {self.tol:.1e}"
                            if at_cap else
                            f"continuation stalled at t={t:.4f} "
                            f"(residual {rel:.3e}, step {step:.1e})")
-                    raise ConvergenceError(
-                        "embedding " + why,
-                        diagnostics={"last_iterate": self._package(trial, rel),
-                                     "t": t, "step": step, "l_cap": self.l_cap})
-        # The loop ends only on a step accepted at t = 1 and opts.tol.
-        return self._package(coeffs, rel)
+                    raise ConvergenceError("embedding " + why, diagnostics={
+                        "last_iterate": self._package(basis, trial, x, rel),
+                        "t": t, "step": step, "l_cap": self.l_cap})
+        # The loop ends only on a step accepted at t = 1, so x is X(coeffs).
+        return self._package(basis, coeffs, x, rel)
 
-    def _package(self, coeffs, rel):
-        l_now = int(np.sqrt(coeffs.shape[1] + 1) - 1 + 0.5)
-        basis = self._basis(l_now)
-        x, _, _ = self._fields(basis, coeffs)
-        self._warm_coeffs = coeffs.copy()
-        self._warm_l = l_now
-        emb = EmbeddingR3(self.grid, x, rel, l_now)
+    def _package(self, basis, coeffs, x, rel):
+        self._warm = (basis, coeffs.copy())
+        emb = EmbeddingR3(self.grid, x, rel, basis.lmax)
         # Pin the induced-measure centroid at the origin.
         return emb.shifted(-_area_centroid(emb.xyz, emb.induced_metric()))
 
 
-def solve_weyl(sigma_hat, opts=None):
-    """Embed ``sigma_hat`` with a fresh :class:`WeylSolver` built from ``opts``."""
-    return WeylSolver(sigma_hat.grid, opts).solve(sigma_hat)
+def solve_weyl(sigma_hat, tol=1e-8):
+    """Embed ``sigma_hat`` to isometry residual ``tol`` with a fresh
+    :class:`WeylSolver` (a cold solve: ``L_START``, ``CONTINUATION_STEP``)."""
+    return WeylSolver(sigma_hat.grid, tol).solve(sigma_hat)
 
 
 def extract_geometry(emb):
@@ -359,8 +343,7 @@ def extract_geometry(emb):
     grid = emb.grid
     t = grid.transform
     x = emb.xyz
-    xt = np.stack([t.dtheta(c, 0) for c in x])
-    xp = np.stack([t.dphi(c) for c in x])
+    xt, xp = emb.tangents
 
     raw = np.cross(xt, xp, axis=0)
     norm = np.sqrt((raw * raw).sum(0))
@@ -368,7 +351,7 @@ def extract_geometry(emb):
     if np.any(norm < 1e-12 * scale):
         raise GeometryError(
             f"degenerate tangent plane at node {worst_node(norm)}")
-    sigma = Metric2(grid, (xt * xt).sum(0), (xt * xp).sum(0), (xp * xp).sum(0))
+    sigma = emb.induced_metric()
     nu = raw / norm
     w = grid.quad_weights
     centroid = (w * x).reshape(3, -1).sum(1) / (4.0 * np.pi)
@@ -392,14 +375,13 @@ def extract_geometry(emb):
         second_form=h,
         lambda1=ScalarField(grid, mean_h / 2.0 + disc),
         lambda2=ScalarField(grid, mean_h / 2.0 - disc),
-        induced=sigma,
     )
 
 
 def minkowski_identity_residual(emb):
     """Defect of the identity total-mean-curvature = 2 * integral K <X, nu>."""
     geom = extract_geometry(emb)
-    sigma = geom.induced
+    sigma = emb.induced_metric()
     x = emb.xyz - _area_centroid(emb.xyz, sigma)[:, None, None]
     support = (x * geom.normal).sum(0)
     k_ext = geom.lambda1.values * geom.lambda2.values
@@ -486,15 +468,15 @@ def align_rigid(xyz, target, weights):
 class GraphEmbedding:
     """Spacelike surface in Minkowski space built as a graph over a convex base.
 
-    ``time`` is the height function, ``space`` the convex base embedding of
-    the graph metric, ``mean_vec`` the Minkowski mean-curvature vector
-    (time component first) and ``h0_sq`` its Lorentz norm squared.
+    ``space`` embeds the graph metric ``sigma_hat``, ``dtau`` is the
+    differential of the height function, ``mean_vec`` the Minkowski
+    mean-curvature vector (time component first) and ``h0_sq`` its Lorentz
+    norm squared.
     """
 
-    time: ScalarField
     space: EmbeddingR3
-    sigma: Metric2
     sigma_hat: Metric2
+    dtau: OneForm
     mean_vec: np.ndarray          # (4, n_theta, n_phi)
     h0_sq: ScalarField
     lorentz_residual: float
@@ -511,26 +493,26 @@ def graph_embedding(sigma, tau, solver=None):
     metric is not strictly convex.
     """
     grid = same_grid(sigma, tau)
-    sigma_hat = calc.metric_add_dtau(sigma, tau)
+    dtau = calc.gradient(sigma, tau)
+    sigma_hat = calc.metric_add_dtau(sigma, dtau)
     calc.require_positive_curvature(
         sigma_hat, "time function (graph metric)", AdmissibilityError)
     if solver is None:
         solver = WeylSolver(grid)
     emb = solver.solve(sigma_hat, check_curvature=False)
 
-    lap_t = calc.laplacian(sigma, tau).values
+    lap_t = calc.divergence(sigma, dtau).values
     lap_x = np.stack([calc.laplacian(sigma, ScalarField(grid, c)).values
                       for c in emb.xyz])
     mean_vec = np.concatenate([lap_t[None], lap_x])
     h0_sq = (lap_x * lap_x).sum(0) - lap_t ** 2
 
     ind = emb.induced_metric()
-    df = calc.gradient(sigma, tau)
-    lorentz_residual = _max_rel((ind.tt - df.a_theta ** 2 - sigma.tt,
-                                 ind.tp - df.a_theta * df.a_phi - sigma.tp,
-                                 ind.pp - df.a_phi ** 2 - sigma.pp),
+    lorentz_residual = _max_rel((ind.tt - dtau.a_theta ** 2 - sigma.tt,
+                                 ind.tp - dtau.a_theta * dtau.a_phi - sigma.tp,
+                                 ind.pp - dtau.a_phi ** 2 - sigma.pp),
                                 sigma.components())
     return GraphEmbedding(
-        time=tau, space=emb, sigma=sigma, sigma_hat=sigma_hat,
-        mean_vec=mean_vec, h0_sq=ScalarField(grid, h0_sq),
+        space=emb, sigma_hat=sigma_hat, dtau=dtau, mean_vec=mean_vec,
+        h0_sq=ScalarField(grid, h0_sq),
         lorentz_residual=float(lorentz_residual))

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import calculus as calc
-from .embedding import WeylOptions, WeylSolver, extract_geometry, graph_embedding
+from .embedding import WeylSolver, extract_geometry, graph_embedding
 from .errors import AdmissibilityError, GeometryError, PreconditionError
 from .fields import Metric2, OneForm, ScalarField, same_grid, worst_node
 
@@ -129,7 +129,7 @@ class EnergyBreakdown:
 
 def check_admissible(sigma, tau):
     """Graph metric of tau, raising AdmissibilityError if it loses convexity."""
-    sigma_hat = calc.metric_add_dtau(sigma, tau.tau)
+    sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau.tau))
     calc.require_positive_curvature(
         sigma_hat, "time function (graph metric)", AdmissibilityError)
     return sigma_hat
@@ -155,7 +155,7 @@ class EnergyWorkspace:
 
     def __init__(self, grid, weyl_tol=1e-10):
         self.grid = grid
-        self.solver = WeylSolver(grid, WeylOptions(tol=weyl_tol))
+        self.solver = WeylSolver(grid, weyl_tol)
         self._states = OrderedDict()
 
     def graph_state(self, sigma, tau):
@@ -175,14 +175,12 @@ class EnergyWorkspace:
         # metric, and its time component is the Laplacian of tau.
         graph = graph_embedding(sigma, tau.tau, solver=self.solver)
         geom = extract_geometry(graph.space)
-        grad_tau = calc.gradient(sigma, tau.tau)
         return {
-            "sigma": sigma,
             "sigma_hat": graph.sigma_hat,
             "graph": graph,
             "geom": geom,
-            "grad_tau": grad_tau,
-            "w": _graph_w(sigma, grad_tau),
+            "grad_tau": graph.dtau,
+            "w": _graph_w(sigma, graph.dtau),
             "lap_tau": ScalarField(self.grid, graph.mean_vec[0]),
             "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
         }

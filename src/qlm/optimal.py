@@ -36,6 +36,7 @@ __all__ = [
 INITIAL_TRUST = 0.05    # trust radius of the first step
 MIN_TRUST = 1e-6        # the descent gives up below this radius
 FD_STEP = 1e-4          # central-difference step of hessian_check
+WEYL_TOL = 1e-11        # Weyl tolerance of a workspace solve_optimal builds
 
 
 @dataclass
@@ -45,7 +46,6 @@ class OptimalSolveOptions:
     tol: float = 1e-6            # L2 norm of the Euler-Lagrange residual
     max_iter: int = 200
     l_max_tau: int = 16
-    weyl_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,12 @@ def solve_optimal(data, tau0, opts=None, workspace=None):
     rejected and the trust region shrunk; collapse of the trust region below
     ``MIN_TRUST`` raises :class:`ConvergenceError` with diagnostics. The
     stability of the result is checked separately, by :func:`hessian_check`.
+    Without ``workspace``, one solving to ``WEYL_TOL`` is built.
     """
     opts = opts or OptimalSolveOptions()
     grid = data.grid
     if workspace is None:
-        workspace = EnergyWorkspace(grid, weyl_tol=opts.weyl_tol)
+        workspace = EnergyWorkspace(grid, weyl_tol=WEYL_TOL)
     l_max = min(opts.l_max_tau, grid.n_theta - 2, grid.n_phi // 2 - 1)
     basis = grid.basis(l_max, lmin=1)
     model = _EnergyModel(data, basis, workspace)

@@ -105,7 +105,7 @@ class ValidationContext:
             tau0 = TimeFunction.from_modes(self.grid, {(1, 0, 0): 0.05})
             return solve_optimal(
                 data, tau0,
-                OptimalSolveOptions(tol=1e-8, l_max_tau=10, weyl_tol=1e-11),
+                OptimalSolveOptions(tol=1e-8, l_max_tau=10),
                 workspace=self.workspace)
         return self.memo("schw_tau_star", build)
 

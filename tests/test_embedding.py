@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from oracles import ellipsoid_total_mean_curvature
 from qlm import calculus as calc
-from qlm.embedding import (EmbeddingR3, WeylOptions, WeylSolver, align_rigid,
+from qlm import embedding
+from qlm.embedding import (EmbeddingR3, WeylSolver, align_rigid,
                            extract_geometry, graph_embedding, herglotz_report,
                            minkowski_identity_residual, solve_weyl)
 from qlm.errors import ConvergenceError, GeometryError, PreconditionError
@@ -15,7 +16,7 @@ from test_grid_calculus import ellipsoid_metric
 
 @pytest.fixture(scope="module")
 def solver32(grid32):
-    return WeylSolver(grid32, WeylOptions(tol=1e-10))
+    return WeylSolver(grid32, tol=1e-10)
 
 
 def mode_field(grid, ell, m, kind, amp):
@@ -60,8 +61,9 @@ def test_tau_perturbed_embedding_two_resolutions():
     for n in (32, 48):
         grid = sphere_grid(n, 2 * n)
         tau = mode_field(grid, 1, 0, 0, 0.1)
-        sigma_hat = calc.metric_add_dtau(Metric2.round(grid, 1.0), tau)
-        emb = solve_weyl(sigma_hat, WeylOptions(tol=1e-9))
+        sigma = Metric2.round(grid, 1.0)
+        sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
+        emb = solve_weyl(sigma_hat, tol=1e-9)
         assert emb.residual < 1e-8
         geom = extract_geometry(emb)
         assert geom.lambda2.values.min() > 0.0
@@ -96,7 +98,7 @@ def test_cut_embedding_against_revolution_oracle(grid48):
     f = np.exp(g_of_x(np.cos(th)))
     sigma = Metric2(grid48, f * f, np.zeros(grid48.shape),
                     (f * np.sin(th)) ** 2)
-    emb = solve_weyl(sigma, WeylOptions(tol=1e-11))
+    emb = solve_weyl(sigma, tol=1e-11)
     geom = extract_geometry(emb)
     total = calc.integrate(sigma, geom.mean_curvature)
 
@@ -113,14 +115,15 @@ def test_minkowski_identity(grid32, solver32):
     assert minkowski_identity_residual(
         solver32.solve(ellipsoid_metric(grid32, (1.0, 1.0, 1.2)))) < 1e-7
     tau = mode_field(grid32, 1, 0, 0, 0.1)
-    sigma_hat = calc.metric_add_dtau(Metric2.round(grid32, 1.0), tau)
+    sigma = Metric2.round(grid32, 1.0)
+    sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
     assert minkowski_identity_residual(solve_weyl(sigma_hat)) < 1e-6
 
 
 def test_area_invariance_and_area_form_relation(grid32, solver32):
     sigma = Metric2.round(grid32, 1.0)
     tau = mode_field(grid32, 2, 1, 0, 0.08)
-    sigma_hat = calc.metric_add_dtau(sigma, tau)
+    sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
     emb = solver32.solve(sigma_hat)
     induced = emb.induced_metric()
     a1 = calc.area(induced)
@@ -144,12 +147,14 @@ def test_rigid_motion_equivariance(grid32):
     assert rms < 1e-7
 
 
-def test_herglotz_uniqueness(grid32, lightcone32):
+def test_herglotz_uniqueness(grid32, lightcone32, monkeypatch):
     sigma = lightcone32.data.sigma
     emb1 = WeylSolver(grid32).solve(sigma)
     # Same metric from an independent continuation path.
-    emb2 = WeylSolver(grid32, WeylOptions(continuation_step=0.11,
-                                          l_start=6)).solve(sigma)
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "CONTINUATION_STEP", 0.11)
+        patch.setattr(embedding, "L_START", 6)
+        emb2 = WeylSolver(grid32).solve(sigma)
     rep = herglotz_report(sigma, emb1, emb2)
     assert abs(rep.total_mean_curvature_diff) < 1e-7
     assert rep.max_second_form_diff < 1e-5
@@ -198,9 +203,10 @@ def test_nonconvex_precondition_names_node(grid32):
 
 
 def test_continuation_stall_carries_last_iterate(grid32, lightcone32):
+    solver = WeylSolver(grid32, tol=1e-12)
+    solver.l_cap = 2
     with pytest.raises(ConvergenceError) as err:
-        solve_weyl(lightcone32.data.sigma,
-                   WeylOptions(tol=1e-12, l_start=2, l_cap=2))
+        solver.solve(lightcone32.data.sigma)
     iterate = err.value.diagnostics.get("last_iterate")
     assert isinstance(iterate, EmbeddingR3)
 

@@ -215,7 +215,8 @@ def test_mass_density_rejects_null_reference(grid32):
     # Catalog surfaces never reach this branch (their references stay
     # spacelike), so forge a cached graph state whose reference norm dips
     # negative and check the declared error fires.
-    from qlm.embedding import GraphEmbedding
+    from dataclasses import replace
+
     from qlm.functionals import _digest
 
     ws = EnergyWorkspace(grid32, weyl_tol=1e-9)
@@ -224,10 +225,8 @@ def test_mass_density_rejects_null_reference(grid32):
     tau = TimeFunction.zero(grid32)
     state = dict(ws.graph_state(data.sigma, tau))
     graph = state["graph"]
-    state["graph"] = GraphEmbedding(
-        graph.time, graph.space, graph.sigma, graph.sigma_hat, graph.mean_vec,
-        ScalarField(grid32, graph.h0_sq.values - 2.0 * graph.h0_sq.values.min()
-                    - 5.0), graph.lorentz_residual)
+    state["graph"] = replace(graph, h0_sq=ScalarField(
+        grid32, graph.h0_sq.values - 2.0 * graph.h0_sq.values.min() - 5.0))
     key = _digest(data.sigma.tt, data.sigma.tp, data.sigma.pp, tau.tau.values)
     ws._states[key] = state
     with pytest.raises(GeometryError):
@@ -247,17 +246,21 @@ def test_steep_time_function_is_inadmissible(grid32):
 
 def test_graph_state_builds_graph_metric_once(monkeypatch):
     grid = sphere_grid(16, 32)
-    calls = {"metric_add_dtau": 0, "gauss_curvature": 0}
+    tau = TimeFunction.from_modes(grid, {(1, 0, 0): 0.1})
+    calls = {"metric_add_dtau": 0, "gauss_curvature": 0, "gradient": 0}
     for name in calls:
         original = getattr(calc, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
-            calls[_name] += 1
+            # Only differentials of tau count as gradient calls.
+            if _name != "gradient" or np.array_equal(args[1].values,
+                                                     tau.tau.values):
+                calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(calc, name, counted)
-    tau = TimeFunction.from_modes(grid, {(1, 0, 0): 0.1})
     EnergyWorkspace(grid).graph_state(Metric2.round(grid, 2.0), tau)
-    assert calls == {"metric_add_dtau": 1, "gauss_curvature": 1}
+    assert calls == {"metric_add_dtau": 1, "gauss_curvature": 1,
+                     "gradient": 1}
 
 
 def test_el_residual_timeflat_and_translation(grid32, schw32, ws32):
@@ -333,7 +336,7 @@ def test_variation_of_total_mean_curvature(grid32):
     ws32 = EnergyWorkspace(grid32, weyl_tol=1e-11)
     sigma = Metric2.round(grid32, 1.0)
     tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 0.1}).tau
-    sigma_hat = calc.metric_add_dtau(sigma, tau)
+    sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
     emb = ws32.solver.solve(sigma_hat)
 
     # Rigid-rotation pullback: first variation vanishes.

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qlm
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data)
 from qlm.cli import main
@@ -93,6 +97,8 @@ def test_cli_rejects_nonpositive_tolerances(schw_file):
     ["catalog", "graph", "--modes", "1,2:3", "--out", "unused.json"],
     ["plotdata", "mass-curves", "--r-range", "2.5"],
     ["plotdata", "stability"],
+    ["catalog", "flat", "--axes", "1,x,2", "--out", "unused.json"],
+    ["catalog", "flat", "--axes", "1,2", "--out", "unused.json"],
 ])
 def test_cli_rejects_malformed_arguments(argv):
     assert main(argv) == 2
@@ -243,3 +249,15 @@ def test_cli_determinism(tmp_path, schw_file):
         assert main(["compute", schw_file, "--which", "byly",
                      "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # main() pins the BLAS thread count from QLM_THREADS, which only takes
+    # effect if nothing imported numpy before main() runs.
+    src = os.path.dirname(os.path.dirname(qlm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qlm.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

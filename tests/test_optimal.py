@@ -10,7 +10,7 @@ from qlm.optimal import (OptimalSolveOptions, comparison_check, hessian_check,
                          solve_optimal)
 
 BYLY_M1_R4 = 4.0 * (1.0 - np.sqrt(0.5))
-OPTS = OptimalSolveOptions(tol=1e-8, l_max_tau=10, weyl_tol=1e-11)
+OPTS = OptimalSolveOptions(tol=1e-8, l_max_tau=10)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ def test_lightcone_recovers_its_time_function(grid32, lightcone32):
     ws = EnergyWorkspace(grid32, weyl_tol=1e-11)
     bump = TimeFunction.from_modes(grid32, {(2, 0, 0): 0.02})
     tau0 = TimeFunction(lightcone32.tau_bar.tau + bump.tau)
-    opts = OptimalSolveOptions(tol=1e-6, l_max_tau=12, weyl_tol=1e-11)
+    opts = OptimalSolveOptions(tol=1e-6, l_max_tau=12)
     result = solve_optimal(lightcone32.data, tau0, opts, workspace=ws)
     assert result.converged
     assert abs(result.energy) < 1e-5
@@ -149,7 +149,7 @@ def test_nontrivial_critical_point(grid32, schw32):
     e0 = wang_yau_energy(data, TimeFunction.zero(grid32), workspace=ws).energy
     result = solve_optimal(
         data, TimeFunction.zero(grid32),
-        OptimalSolveOptions(tol=1e-8, l_max_tau=12, weyl_tol=1e-11),
+        OptimalSolveOptions(tol=1e-8, l_max_tau=12),
         workspace=ws)
     assert result.converged
     assert np.max(np.abs(result.tau_star.tau.values)) > 1e-3
@@ -166,9 +166,9 @@ def test_trust_region_collapse_raises(grid32):
     sigma = Metric2.round(grid32, 1.0)
     alpha = calc.gradient(sigma, zonal * 0.8)
     runaway = SurfaceData(sigma, ScalarField.constant(grid32, 0.2), alpha)
-    opts = OptimalSolveOptions(tol=1e-9, l_max_tau=6, weyl_tol=1e-9,
-                               max_iter=120)
+    opts = OptimalSolveOptions(tol=1e-9, l_max_tau=6, max_iter=120)
     with pytest.raises(ConvergenceError) as err:
-        solve_optimal(runaway, TimeFunction.zero(grid32), opts)
+        solve_optimal(runaway, TimeFunction.zero(grid32), opts,
+                      workspace=EnergyWorkspace(grid32, weyl_tol=1e-9))
     assert "trust" in str(err.value)
     assert "residual_norm" in err.value.diagnostics
