@@ -21,8 +21,8 @@ import importlib
 
 # Every submodule, with the names the package exports from it.
 _EXPORTS = {
-    "calculus": ("divergence", "gauss_curvature", "gradient", "gradient_raised",
-                 "integrate", "laplacian", "metric_add_dtau"),
+    "calculus": ("divergence", "gauss_curvature", "gradient", "integrate",
+                 "laplacian", "metric_add_dtau"),
     "catalog": ("MinkowskiSurfaceSpec", "SphericalSphereSpec",
                 "lightcone_rigidity_report", "mass_relation_check",
                 "minkowski_surface_data", "schwarzschild_sphere_data",

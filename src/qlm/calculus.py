@@ -18,12 +18,10 @@ __all__ = [
     "area",
     "area_weights",
     "gradient",
-    "gradient_raised",
     "divergence",
     "laplacian",
     "gauss_curvature",
     "metric_add_dtau",
-    "norm_grad_sq",
     "form_dot",
     "raise_indices",
     "christoffels",
@@ -55,17 +53,6 @@ def gradient(sigma, f):
     grid = same_grid(sigma, f)
     t = grid.transform
     return OneForm(grid, t.dtheta(f.values, 0), t.dphi(f.values))
-
-
-def gradient_raised(sigma, f):
-    """Gradient with the index raised by ``sigma``.
-
-    The result is packaged in a :class:`OneForm` container but its entries
-    are the contravariant components in the same chart.
-    """
-    df = gradient(sigma, f)
-    v_t, v_p = _raise_form(sigma, df)
-    return OneForm(sigma.grid, v_t, v_p)
 
 
 def _raise_form(sigma, omega):
@@ -179,13 +166,6 @@ def hodge_star(sigma, omega):
     v_t, v_p = _raise_form(sigma, omega)
     sq = sigma.sqrt_det()
     return OneForm(grid, -sq * v_p, sq * v_t)
-
-
-def norm_grad_sq(sigma, f):
-    """|grad f|^2 with respect to ``sigma`` (raw array)."""
-    df = gradient(sigma, f)
-    v_t, v_p = _raise_form(sigma, df)
-    return v_t * df.a_theta + v_p * df.a_phi
 
 
 def form_dot(sigma, omega, nu):

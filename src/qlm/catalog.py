@@ -21,8 +21,7 @@ import numpy as np
 from . import calculus as calc
 from .errors import DomainError, GenerationError, QlmError
 from .fields import Metric2, OneForm, ScalarField, worst_node
-from .functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
-                          byly_mass, hawking_mass)
+from .functionals import SurfaceData, TimeFunction, byly_mass, hawking_mass
 
 __all__ = [
     "SphericalSphereSpec",
@@ -234,8 +233,8 @@ def surface_data_from_embedding(grid, chart):
     except QlmError as exc:
         raise GenerationError(f"induced metric not spacelike: {exc}") from exc
 
-    lap = np.stack([calc.laplacian(sigma, ScalarField(grid, c)).values
-                    for c in chart])
+    lap = np.stack([calc.divergence(sigma, OneForm(grid, ct, cp)).values
+                    for ct, cp in zip(tan_t, tan_p)])
     # Remove the (numerically tiny) tangential part of the position Laplacian.
     itt, itp, ipp = sigma.inverse_components()
     ht = _mink_dot(lap, tan_t)
@@ -301,7 +300,7 @@ class LightconeRigidityReport:
         return abs(self.byly - self.byly_from_principal_curvatures)
 
 
-def lightcone_rigidity_report(spec, grid, workspace=None):
+def lightcone_rigidity_report(spec, grid, *, workspace):
     """Evaluate the rigidity pattern of a light-cone cut.
 
     The Hawking mass of a positive-curvature cut vanishes, while the
@@ -313,9 +312,8 @@ def lightcone_rigidity_report(spec, grid, workspace=None):
         raise GenerationError("rigidity report requires a light-cone cut")
     surface = minkowski_surface_data(spec, grid)
     data = surface.data
-    ws = workspace if workspace is not None else EnergyWorkspace(grid)
-    byly = byly_mass(data, workspace=ws)
-    state = ws.graph_state(data.sigma, TimeFunction.zero(grid))
+    byly = byly_mass(data, workspace=workspace)
+    state = workspace.graph_state(data.sigma, TimeFunction.zero(grid))
     geom = state["geom"]
     lam1 = geom.lambda1.values
     lam2 = geom.lambda2.values

@@ -14,6 +14,12 @@ import json
 import os
 import sys
 
+# Bounds of --resolution n, for an n x 2n grid, which needs n >= 4. Peak memory
+# grows as n^4 with the dense harmonic basis at the Weyl degree cap: a sharp
+# light-cone cut peaks at 763 MiB at n = 48, so n = 72 needs about 3.9 GiB.
+RESOLUTION_MIN = 4
+RESOLUTION_MAX = 72
+
 
 def _setup_threads():
     n = os.environ.get("QLM_THREADS", "1")
@@ -66,6 +72,15 @@ def _positive_float(text):
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
+
+
+def _resolution(text):
+    """argparse type: a grid resolution within the memory bound."""
+    n = int(text)
+    if not RESOLUTION_MIN <= n <= RESOLUTION_MAX:
+        raise argparse.ArgumentTypeError(
+            f"must lie in [{RESOLUTION_MIN}, {RESOLUTION_MAX}], got {n}")
+    return n
 
 
 def _axes(text):
@@ -307,6 +322,8 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version="%(prog)s 0.1.0")
     sub = parser.add_subparsers(dest="command", required=True)
+    resolution = {"type": _resolution, "default": 48, "help": "grid colatitude "
+                  f"nodes n, {RESOLUTION_MIN}..{RESOLUTION_MAX}; the grid is n x 2n"}
 
     p = sub.add_parser("compute", help="evaluate a mass/energy on a data file")
     p.add_argument("input", help="surface-data JSON file")
@@ -331,7 +348,7 @@ def build_parser():
                    help="flat ellipsoid axes 'a,b,c'")
     p.add_argument("--modes", type=_modes, default="",
                    help="harmonic modes 'l,m,kind:amp;...' (graph/lightcone)")
-    p.add_argument("--resolution", type=int, default=48)
+    p.add_argument("--resolution", **resolution)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_catalog)
 
@@ -349,7 +366,7 @@ def build_parser():
     p.set_defaults(func=cmd_optimal)
 
     p = sub.add_parser("validate", help="run the acceptance checks")
-    p.add_argument("--resolution", type=int, default=48)
+    p.add_argument("--resolution", **resolution)
     p.add_argument("--only", help="comma-separated check ids")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", help="CSV output path")
@@ -367,7 +384,7 @@ def build_parser():
     p.add_argument("--span", type=float, default=0.05)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--input", help="surface-data file (stability)")
-    p.add_argument("--resolution", type=int, default=48)
+    p.add_argument("--resolution", **resolution)
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_plotdata)
     return parser
@@ -380,10 +397,12 @@ def main(argv=None):
     except SystemExit as exc:
         # Usage errors (exit 2), --help and --version.
         return exc.code
+    from numpy.linalg import LinAlgError
+
     from .errors import ConvergenceError, GeometryError, QlmError
     try:
         return args.func(args)
-    except (ConvergenceError, GeometryError) as exc:
+    except (ConvergenceError, GeometryError, LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.diagnostics:
             safe = {k: v for k, v in exc.diagnostics.items()

@@ -203,11 +203,10 @@ class WeylSolver:
             jtj += block.T @ block
 
         # Rotation gauge: penalize motion along e_k x X.
-        wnode = basis.node_weights
         gamma2 = np.trace(jtj) / m3
         for k in range(3):
             rot = np.cross(np.eye(3)[k], x.reshape(3, -1).T).T
-            row = np.concatenate([basis.values.T @ (wnode * rot[i]) for i in range(3)])
+            row = np.concatenate([basis.analyze(rot[i]) for i in range(3)])
             jtj += gamma2 * np.outer(row, row)
         return jtj
 
@@ -502,8 +501,8 @@ def graph_embedding(sigma, tau, solver=None):
     emb = solver.solve(sigma_hat, check_curvature=False)
 
     lap_t = calc.divergence(sigma, dtau).values
-    lap_x = np.stack([calc.laplacian(sigma, ScalarField(grid, c)).values
-                      for c in emb.xyz])
+    lap_x = np.stack([calc.divergence(sigma, OneForm(grid, xt, xp)).values
+                      for xt, xp in zip(*emb.tangents)])
     mean_vec = np.concatenate([lap_t[None], lap_x])
     h0_sq = (lap_x * lap_x).sum(0) - lap_t ** 2
 

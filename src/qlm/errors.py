@@ -4,6 +4,11 @@ The CLI maps these onto exit codes: input/precondition problems exit 2,
 solver failures exit 3, validation failures exit 1.
 """
 
+__all__ = ["QlmError", "GridMismatchError", "InvalidFieldError",
+           "InvalidMetricError", "PreconditionError", "AdmissibilityError",
+           "GeometryError", "GenerationError", "DomainError",
+           "ConvergenceError", "InputFileError"]
+
 
 class QlmError(Exception):
     """Base class for all package-specific errors."""

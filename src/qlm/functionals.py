@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "gauge_functional",
     "mass_density",
     "euler_lagrange_residual",
-    "conservation_defect",
     "total_mean_curvature_variation",
 ]
 
@@ -72,15 +70,6 @@ class SurfaceData:
     @property
     def grid(self):
         return self.sigma.grid
-
-    def rescaled(self, factor):
-        """Data of the surface with lengths scaled by ``factor``."""
-        c = float(factor)
-        return SurfaceData(
-            Metric2(self.grid, c * c * self.sigma.tt, c * c * self.sigma.tp,
-                    c * c * self.sigma.pp),
-            ScalarField(self.grid, self.h_norm.values / c),
-            self.alpha)
 
 
 @dataclass(frozen=True)
@@ -124,7 +113,6 @@ class EnergyBreakdown:
     physical_term: float
     energy: float
     theta: ScalarField
-    rho: Optional[ScalarField] = None
 
 
 def check_admissible(sigma, tau):
@@ -145,6 +133,7 @@ def _digest(*arrays):
 class EnergyWorkspace:
     """Shared embedding solver and graph-state cache for one grid.
 
+    Every solve-backed evaluator takes one as its keyword-only ``workspace``.
     Energy, density and Euler-Lagrange evaluations at one (data, tau) pair
     share a single convex-embedding solve, made to the isometry tolerance
     ``weyl_tol``; the workspace keeps the ``CACHE_SIZE`` most recent states
@@ -206,10 +195,6 @@ def _physical_density(data, angle, w, grad_tau):
             - calc.form_dot(sigma, data.alpha, grad_tau))
 
 
-def _workspace(data, workspace):
-    return workspace if workspace is not None else EnergyWorkspace(data.grid)
-
-
 def hawking_mass(data):
     """sqrt(|Sigma| / 16 pi) * (1 - (1/16 pi) * integral of |H|^2)."""
     total_area = calc.area(data.sigma)
@@ -219,14 +204,13 @@ def hawking_mass(data):
                  * (1.0 - flux / (16.0 * np.pi)))
 
 
-def byly_mass(data, workspace=None):
+def byly_mass(data, *, workspace):
     """(1/8 pi) * (total Euclidean reference mean curvature - total |H|).
 
     The reference is the convex embedding of the induced metric itself, so
     positive Gauss curvature of the data metric is required.
     """
-    ws = _workspace(data, workspace)
-    state = ws.graph_state(data.sigma, TimeFunction.zero(data.grid))
+    state = workspace.graph_state(data.sigma, TimeFunction.zero(data.grid))
     int_h = calc.integrate(data.sigma, data.h_norm)
     return (state["reference"] - int_h) / (8.0 * np.pi)
 
@@ -237,9 +221,9 @@ def boost_angle(data, tau):
     asinh of -(Laplacian tau) / (|H| * sqrt(1 + |grad tau|^2)); finite
     everywhere since |H| > 0.
     """
-    lap = calc.laplacian(data.sigma, tau.tau)
-    w = _graph_w(data.sigma, calc.gradient(data.sigma, tau.tau))
-    return _canonical_angle(data, lap.values, w)
+    dtau = calc.gradient(data.sigma, tau.tau)
+    lap = calc.divergence(data.sigma, dtau)
+    return _canonical_angle(data, lap.values, _graph_w(data.sigma, dtau))
 
 
 def _physical_term(data, angle, w, grad_tau):
@@ -249,40 +233,32 @@ def _physical_term(data, angle, w, grad_tau):
                           ScalarField(data.grid, density)) / (8.0 * np.pi)
 
 
-def wang_yau_energy(data, tau, workspace=None, with_density=False):
+def wang_yau_energy(data, tau, *, workspace):
     """Quasi-local energy of (data, tau): reference term minus physical term."""
-    ws = _workspace(data, workspace)
-    state = ws.graph_state(data.sigma, tau)
+    state = workspace.graph_state(data.sigma, tau)
     angle = _canonical_angle(data, state["lap_tau"].values, state["w"])
     reference = state["reference"] / (8.0 * np.pi)
     physical = _physical_term(data, angle, state["w"], state["grad_tau"])
-    rho = mass_density(data, tau, workspace=ws) if with_density else None
     return EnergyBreakdown(
         reference_term=reference,
         physical_term=physical,
         energy=reference - physical,
-        theta=angle,
-        rho=rho)
+        theta=angle)
 
 
 def gauge_functional(data, tau, phi):
-    """Physical Hamiltonian term with an arbitrary gauge angle ``phi``.
+    """Physical Hamiltonian term with an arbitrary gauge angle field ``phi``.
 
     At the canonical angle it reproduces the physical term of
     :func:`wang_yau_energy`; any other angle cannot decrease it.
     """
-    if isinstance(phi, ScalarField):
-        angle = phi
-    else:
-        angle = ScalarField(data.grid, phi)
     grad_tau = calc.gradient(data.sigma, tau.tau)
-    return _physical_term(data, angle, _graph_w(data.sigma, grad_tau), grad_tau)
+    return _physical_term(data, phi, _graph_w(data.sigma, grad_tau), grad_tau)
 
 
-def mass_density(data, tau, workspace=None):
+def mass_density(data, tau, *, workspace):
     """Pointwise quasi-local mass density of the pair (data, tau)."""
-    ws = _workspace(data, workspace)
-    state = ws.graph_state(data.sigma, tau)
+    state = workspace.graph_state(data.sigma, tau)
     h0_sq = state["graph"].h0_sq.values
     if np.any(h0_sq <= 0.0):
         node = worst_node(h0_sq)
@@ -296,14 +272,13 @@ def mass_density(data, tau, workspace=None):
     return ScalarField(data.grid, rho)
 
 
-def euler_lagrange_residual(data, tau, workspace=None):
+def euler_lagrange_residual(data, tau, *, workspace):
     """L2-gradient density of 8 pi times the energy, as a scalar field.
 
     Vanishes at critical time functions; for data with divergence-free
     connection form it vanishes identically at tau = 0.
     """
-    ws = _workspace(data, workspace)
-    state = ws.graph_state(data.sigma, tau)
+    state = workspace.graph_state(data.sigma, tau)
     sigma = data.sigma
     sigma_hat = state["sigma_hat"]
     geom = state["geom"]
@@ -327,22 +302,7 @@ def euler_lagrange_residual(data, tau, workspace=None):
         data.grid, bulk + calc.divergence(sigma, flux_form).values)
 
 
-def conservation_defect(data, tau, workspace=None):
-    """Node-wise defect of the reference/physical Hamiltonian identity.
-
-    For data generated from a surface in Minkowski space, evaluated with its
-    own time function, the reference mean curvature (weighted by the area
-    form ratio) matches the physical Hamiltonian density pointwise.
-    """
-    ws = _workspace(data, workspace)
-    state = ws.graph_state(data.sigma, tau)
-    angle = _canonical_angle(data, state["lap_tau"].values, state["w"])
-    density = _physical_density(data, angle, state["w"], state["grad_tau"])
-    lhs = state["geom"].mean_curvature.values * state["w"]
-    return ScalarField(data.grid, lhs - density)
-
-
-def total_mean_curvature_variation(sigma_hat, delta, workspace=None):
+def total_mean_curvature_variation(sigma_hat, delta, *, workspace):
     """First variation of the total reference mean curvature.
 
     ``delta`` is a covariant symmetric perturbation of ``sigma_hat``; the
@@ -350,8 +310,6 @@ def total_mean_curvature_variation(sigma_hat, delta, workspace=None):
     raised-index pairing, over the embedding of ``sigma_hat``.
     """
     grid = same_grid(sigma_hat, delta)
-    if workspace is None:
-        workspace = EnergyWorkspace(grid)
     emb = workspace.solver.solve(sigma_hat)
     geom = extract_geometry(emb)
     mean_h = geom.mean_curvature.values

@@ -19,8 +19,7 @@ from . import calculus as calc
 from .catalog import surface_data_from_embedding
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .fields import ScalarField
-from .functionals import (EnergyWorkspace, TimeFunction, _workspace,
-                          euler_lagrange_residual, mass_density,
+from .functionals import (TimeFunction, euler_lagrange_residual, mass_density,
                           wang_yau_energy)
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
 INITIAL_TRUST = 0.05    # trust radius of the first step
 MIN_TRUST = 1e-6        # the descent gives up below this radius
 FD_STEP = 1e-4          # central-difference step of hessian_check
-WEYL_TOL = 1e-11        # Weyl tolerance of a workspace solve_optimal builds
 
 
 @dataclass
@@ -131,7 +129,7 @@ def _trust_step(b_mat, grad, radius):
     return evecs @ p
 
 
-def solve_optimal(data, tau0, opts=None, workspace=None):
+def solve_optimal(data, tau0, opts=None, *, workspace):
     """Descend the energy to a critical time function.
 
     Starts from ``tau0`` (projected onto the optimization basis, mean mode
@@ -140,12 +138,10 @@ def solve_optimal(data, tau0, opts=None, workspace=None):
     rejected and the trust region shrunk; collapse of the trust region below
     ``MIN_TRUST`` raises :class:`ConvergenceError` with diagnostics. The
     stability of the result is checked separately, by :func:`hessian_check`.
-    Without ``workspace``, one solving to ``WEYL_TOL`` is built.
+    Every energy and residual evaluation goes through ``workspace``.
     """
     opts = opts or OptimalSolveOptions()
     grid = data.grid
-    if workspace is None:
-        workspace = EnergyWorkspace(grid, weyl_tol=WEYL_TOL)
     l_max = min(opts.l_max_tau, grid.n_theta - 2, grid.n_phi // 2 - 1)
     basis = grid.basis(l_max, lmin=1)
     model = _EnergyModel(data, basis, workspace)
@@ -220,7 +216,7 @@ class HessianReport:
         return float(self.eigenvalues.min())
 
 
-def hessian_check(data, tau_star, n_modes=15, workspace=None,
+def hessian_check(data, tau_star, n_modes=15, *, workspace,
                   residual_tol=1e-5):
     """Reduced second variation at a critical point by residual differencing.
 
@@ -234,7 +230,7 @@ def hessian_check(data, tau_star, n_modes=15, workspace=None,
     grid = data.grid
     l_needed = int(np.ceil(np.sqrt(n_modes + 1))) + 1
     basis = grid.basis(max(4, l_needed), lmin=1)
-    model = _EnergyModel(data, basis, _workspace(data, workspace))
+    model = _EnergyModel(data, basis, workspace)
     _, res0 = model.gradient_at(tau_star.tau.values)
     if res0 > residual_tol:
         raise PreconditionError(
@@ -269,7 +265,7 @@ class ComparisonReport:
                 - self.energy_of_reference_surface)
 
 
-def comparison_check(data, tau_star, tau, workspace=None):
+def comparison_check(data, tau_star, tau, *, workspace):
     """Energy-comparison inequality around a positive-density critical point.
 
     The third term re-reads the critical graph as a physical surface in
@@ -278,7 +274,6 @@ def comparison_check(data, tau_star, tau, workspace=None):
     constant.
     """
     grid = data.grid
-    workspace = _workspace(data, workspace)
     rho = mass_density(data, tau_star, workspace=workspace)
     if rho.values.min() <= 0:
         raise PreconditionError(

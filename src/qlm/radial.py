@@ -16,7 +16,7 @@ on coordinate spheres) closes the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _ODE_TOL = 1e-10
+JANG_SAMPLES = 400      # radii at which solve_jang_radial reports f and its residual
+ADM_N_THETA = 16        # colatitude nodes of the ADM flux spheres
+ADM_FD_SCALE = 1e-4     # Cartesian difference step of the ADM flux, per unit radius
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,7 @@ class RadialInitialData:
     g_rr: Callable
     p_rr: Callable
     p_tang: Callable
-    dg_rr: Optional[Callable] = None
+    dg_rr: Callable
 
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
@@ -78,12 +81,6 @@ class RadialInitialData:
         sample = np.linspace(self.r_min, self.r_max, 64)
         if np.any(np.asarray(self.g_rr(sample)) <= 0):
             raise DomainError("g_rr must be positive on the domain")
-
-    def metric_slope(self, r):
-        if self.dg_rr is not None:
-            return self.dg_rr(r)
-        h = 1e-6 * max(1.0, abs(float(np.max(np.atleast_1d(r)))))
-        return (np.asarray(self.g_rr(r + h)) - np.asarray(self.g_rr(r - h))) / (2.0 * h)
 
 
 def flat_radial_data(r_min=1.0, r_max=10.0):
@@ -130,7 +127,7 @@ def jang_residual_radial(data, fn):
     def residual(r):
         r = np.asarray(r, dtype=float)
         g = np.asarray(data.g_rr(r))
-        gp = np.asarray(data.metric_slope(r))
+        gp = np.asarray(data.dg_rr(r))
         v = np.asarray(fn.first(r))
         vp = np.asarray(fn.second(r))
         w = np.sqrt(1.0 + v * v / g)
@@ -145,7 +142,7 @@ def jang_residual_radial(data, fn):
 def jang_rhs(data, r, v):
     """f'' solved from the radial Jang equation at (r, f' = v)."""
     g = float(data.g_rr(r))
-    gp = float(data.metric_slope(r))
+    gp = float(data.dg_rr(r))
     w_sq = 1.0 + v * v / g
     w = np.sqrt(w_sq)
     return (gp * v / (2.0 * g) + w * float(data.p_rr(r))
@@ -162,7 +159,7 @@ class JangSolution:
     residual_sup: float
 
 
-def solve_jang_radial(data, tau0, far_slope=0.0, n_samples=400):
+def solve_jang_radial(data, tau0, far_slope=0.0):
     """Shoot the radial Jang equation to a prescribed far-end slope.
 
     The equation only involves f through derivatives, so the solver shoots on
@@ -230,8 +227,8 @@ def solve_jang_radial(data, tau0, far_slope=0.0, n_samples=400):
         r = np.asarray(r, dtype=float)
         return (slope(r + h_fd) - slope(r - h_fd)) / (2.0 * h_fd)
 
-    rs = np.linspace(r0, r1, n_samples)
-    interior = np.linspace(r0 + 2 * h_fd, r1 - 2 * h_fd, n_samples)
+    rs = np.linspace(r0, r1, JANG_SAMPLES)
+    interior = np.linspace(r0 + 2 * h_fd, r1 - 2 * h_fd, JANG_SAMPLES)
     res = jang_residual_radial(
         data, RadialFunction(value, slope, second_fd))(interior)
     return JangSolution(r=rs, f=value(rs), slope=slope, value=value,
@@ -318,7 +315,7 @@ def e_of_r(state, r_values=None):
     return table
 
 
-def adm_energy_radial(state, r_eval=1000.0, n_theta=16, fd_scale=1e-4):
+def adm_energy_radial(state, r_eval=1000.0):
     """ADM energy by large-sphere flux quadrature, extrapolated in 1/r.
 
     Evaluates the asymptotic flux integral of the metric-derivative
@@ -335,13 +332,13 @@ def adm_energy_radial(state, r_eval=1000.0, n_theta=16, fd_scale=1e-4):
         return u * u - 1.0
 
     def flux(radius):
-        grid = sphere_grid(n_theta, 2 * n_theta)
+        grid = sphere_grid(ADM_N_THETA, 2 * ADM_N_THETA)
         th, ph = grid.nodes
         nodes = radius * np.stack([np.sin(th) * np.cos(ph),
                                    np.sin(th) * np.sin(ph),
                                    np.cos(th)])
         pts = nodes.reshape(3, -1)
-        h = fd_scale * radius
+        h = ADM_FD_SCALE * radius
 
         def metric(x):
             r = np.sqrt((x * x).sum(0))
@@ -350,8 +347,6 @@ def adm_energy_radial(state, r_eval=1000.0, n_theta=16, fd_scale=1e-4):
             return (np.eye(3)[:, :, None]
                     + p * n[:, None, :] * n[None, :, :])
 
-        div_term = np.zeros(pts.shape[1])
-        grad_trace = np.zeros((3, pts.shape[1]))
         d_g = np.empty((3, 3, 3, pts.shape[1]))
         for j in range(3):
             step = np.zeros((3, 1))

@@ -26,9 +26,10 @@ from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                       surface_data_from_embedding)
 from .errors import QlmError
 from .fields import Metric2, ScalarField
-from .functionals import (EnergyWorkspace, TimeFunction, boost_angle, byly_mass,
-                          euler_lagrange_residual, gauge_functional,
-                          hawking_mass, wang_yau_energy)
+from .functionals import (EnergyWorkspace, TimeFunction, _canonical_angle,
+                          _graph_w, _physical_term, byly_mass,
+                          euler_lagrange_residual, hawking_mass,
+                          wang_yau_energy)
 from .grid import sphere_grid
 from .optimal import (OptimalSolveOptions, comparison_check, hessian_check,
                       solve_optimal)
@@ -151,13 +152,15 @@ def _el_gradient_defect(ctx, data, tau):
 
 def _gauge_defect(ctx, data, tau):
     """min over eps of F(theta + eps Y20) - F(theta); negative = violation."""
-    theta = boost_angle(data, tau)
-    base = gauge_functional(data, tau, theta)
+    dtau = calc.gradient(data.sigma, tau.tau)
+    w = _graph_w(data.sigma, dtau)
+    theta = _canonical_angle(data, calc.divergence(data.sigma, dtau).values, w)
+    base = _physical_term(data, theta, w, dtau)
     bump = TimeFunction.from_modes(ctx.grid, {(2, 0, 0): 1.0}).tau
     diffs = []
     for eps in (1e-2, -1e-2):
         phi = ScalarField(ctx.grid, theta.values + eps * bump.values)
-        diffs.append(gauge_functional(data, tau, phi) - base)
+        diffs.append(_physical_term(data, phi, w, dtau) - base)
     return min(diffs)
 
 
@@ -444,8 +447,6 @@ def _ellipsoid_total_mean_curvature(axes, n_theta):
     a, b, c = axes
     grid = sphere_grid(n_theta, 2 * n_theta)
     th, ph = grid.nodes
-    s = np.stack([a * np.sin(th) * np.cos(ph), b * np.sin(th) * np.sin(ph),
-                  c * np.cos(th)])
     s_t = np.stack([a * np.cos(th) * np.cos(ph), b * np.cos(th) * np.sin(ph),
                     -c * np.sin(th)])
     s_p = np.stack([-a * np.sin(th) * np.sin(ph), b * np.sin(th) * np.cos(ph),

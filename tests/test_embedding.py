@@ -130,7 +130,8 @@ def test_area_invariance_and_area_form_relation(grid32, solver32):
     a2 = calc.area(sigma_hat)
     assert abs(a1 - a2) <= 1e-9 * a2
     ratio = np.sqrt(induced.det() / sigma.det())
-    w = np.sqrt(1.0 + calc.norm_grad_sq(sigma, tau))
+    dtau = calc.gradient(sigma, tau)
+    w = np.sqrt(1.0 + calc.form_dot(sigma, dtau, dtau))
     assert_allclose(ratio, w, atol=1e-10)
 
 

@@ -4,14 +4,14 @@ from numpy.testing import assert_allclose
 
 from conftest import random_band_limited
 from qlm import calculus as calc
+from qlm import functionals
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data)
 from qlm.errors import AdmissibilityError, GeometryError, PreconditionError
 from qlm.fields import Metric2, OneForm, ScalarField, SymTensor2
 from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
-                             boost_angle, byly_mass, conservation_defect,
-                             euler_lagrange_residual, gauge_functional,
-                             hawking_mass, mass_density,
+                             boost_angle, byly_mass, euler_lagrange_residual,
+                             gauge_functional, hawking_mass, mass_density,
                              total_mean_curvature_variation, wang_yau_energy)
 from qlm.grid import sphere_grid
 
@@ -47,7 +47,7 @@ def test_byly_requires_convex_metric(grid32):
     data = SurfaceData(sigma, ScalarField.constant(grid32, 1.0),
                        OneForm.zero(grid32))
     with pytest.raises(PreconditionError):
-        byly_mass(data)
+        byly_mass(data, workspace=EnergyWorkspace(grid32))
 
 
 def test_boost_angle_examples(grid32, schw32):
@@ -90,21 +90,6 @@ def test_wang_yau_energy_examples(grid32, schw32, lightcone32, ws32):
                              workspace=ws32)
     assert abs(e_schw.energy - byly_mass(schw32.data, workspace=ws32)) < 1e-6
     assert e_schw.energy == e_schw.reference_term - e_schw.physical_term
-
-
-def test_wang_yau_energy_with_density(grid32, schw32, ws32):
-    breakdown = wang_yau_energy(schw32.data, TimeFunction.zero(grid32),
-                                workspace=ws32, with_density=True)
-    assert breakdown.rho is not None
-    assert_allclose(breakdown.rho.values, 0.5 * (1.0 - np.sqrt(0.5)), atol=1e-9)
-
-
-def test_gauge_functional_accepts_raw_arrays(grid32, schw32):
-    tau = TimeFunction.zero(grid32)
-    from_field = gauge_functional(schw32.data, tau,
-                                  ScalarField.constant(grid32, 0.0))
-    from_array = gauge_functional(schw32.data, tau, np.zeros(grid32.shape))
-    assert from_field == from_array
 
 
 def test_energy_invariant_under_time_translation(grid32, schw32, ws32):
@@ -189,7 +174,7 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
     grad_tau = calc.gradient(sigma, tau.tau)
     v_t = itt * grad_tau.a_theta + itp * grad_tau.a_phi
     v_p = itp * grad_tau.a_theta + ipp * grad_tau.a_phi
-    w = np.sqrt(1.0 + calc.norm_grad_sq(sigma, tau.tau))
+    w = np.sqrt(1.0 + calc.form_dot(sigma, grad_tau, grad_tau))
     bracket = (-w * dot(h_vec, leg3)
                - dot(v_t * d_t + v_p * d_p, leg4))
     direct = calc.integrate(sigma, ScalarField(grid32, bracket)) / (8.0 * np.pi)
@@ -238,7 +223,7 @@ def test_steep_time_function_is_inadmissible(grid32):
         MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.0)), grid32).data
     steep = TimeFunction.from_modes(grid32, {(2, 1, 0): 1.5})
     with pytest.raises(PreconditionError):
-        mass_density(data, steep)
+        mass_density(data, steep, workspace=EnergyWorkspace(grid32))
     # solve_optimal rejects a trial step on exactly this subclass.
     with pytest.raises(AdmissibilityError, match="time function"):
         EnergyWorkspace(grid32).graph_state(data.sigma, steep)
@@ -261,6 +246,27 @@ def test_graph_state_builds_graph_metric_once(monkeypatch):
     EnergyWorkspace(grid).graph_state(Metric2.round(grid, 2.0), tau)
     assert calls == {"metric_add_dtau": 1, "gauss_curvature": 1,
                      "gradient": 1}
+
+
+def test_gauge_defect_takes_one_differential_of_tau(monkeypatch):
+    from types import SimpleNamespace
+
+    from qlm import validate
+
+    grid = sphere_grid(16, 32)
+    surface = minkowski_surface_data(
+        MinkowskiSurfaceSpec("graph", tau_modes={(2, 0, 0): 0.12}), grid)
+    tau = surface.tau_bar
+    calls = []
+    original = calc.gradient
+
+    def counted(sigma, f):
+        if np.array_equal(f.values, tau.tau.values):
+            calls.append(f)
+        return original(sigma, f)
+    monkeypatch.setattr(calc, "gradient", counted)
+    validate._gauge_defect(SimpleNamespace(grid=grid), surface.data, tau)
+    assert len(calls) == 1
 
 
 def test_el_residual_timeflat_and_translation(grid32, schw32, ws32):
@@ -309,15 +315,26 @@ def test_pointwise_conservation_on_minkowski_data(grid32, ws32):
                                       log_modes={(2, 0, 0): 0.12}),
                  MinkowskiSurfaceSpec("graph", tau_modes={(2, 0, 0): 0.12}),
                  MinkowskiSurfaceSpec("boosted_sphere", velocity=0.3)):
+        # For data of a surface in Minkowski space at its own time function,
+        # the reference mean curvature times the area-form ratio w matches
+        # the physical Hamiltonian density node by node.
         surface = minkowski_surface_data(spec, grid32)
-        defect = conservation_defect(surface.data, surface.tau_bar,
-                                     workspace=ws32)
-        assert np.max(np.abs(defect.values)) < 1e-6
+        data, tau = surface.data, surface.tau_bar
+        state = ws32.graph_state(data.sigma, tau)
+        theta = wang_yau_energy(data, tau, workspace=ws32).theta
+        density = functionals._physical_density(
+            data, theta, state["w"], state["grad_tau"])
+        defect = state["geom"].mean_curvature.values * state["w"] - density
+        assert np.max(np.abs(defect)) < 1e-6
 
 
 def test_mass_scaling_linearity(grid32, schw32, ws32):
     c = 1.7
-    scaled = schw32.data.rescaled(c)
+    sigma = schw32.data.sigma
+    scaled = SurfaceData(
+        Metric2(grid32, c * c * sigma.tt, c * c * sigma.tp, c * c * sigma.pp),
+        ScalarField(grid32, schw32.data.h_norm.values / c),
+        schw32.data.alpha)
     assert abs(hawking_mass(scaled) - c * hawking_mass(schw32.data)) \
         <= 1e-9 * c
     assert abs(byly_mass(scaled, workspace=ws32)

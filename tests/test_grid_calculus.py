@@ -68,19 +68,19 @@ def test_gradient_of_constant(grid32):
 def test_gradient_norm_of_cos_theta(grid32):
     th, _ = grid32.nodes
     sigma = Metric2.round(grid32, 1.0)
-    f = ScalarField(grid32, np.cos(th))
-    assert_allclose(calc.norm_grad_sq(sigma, f), np.sin(th) ** 2, atol=1e-10)
+    df = calc.gradient(sigma, ScalarField(grid32, np.cos(th)))
+    assert_allclose(calc.form_dot(sigma, df, df), np.sin(th) ** 2, atol=1e-10)
 
 
 def test_gradient_raised_round(grid32):
-    # On the unit round metric, raising df multiplies a_phi by 1/sin^2.
+    # On the unit round metric, raising df multiplies a_phi by 1/sin^2, so
+    # |df|^2 = a_theta^2 + a_phi^2 / sin^2.
     th, ph = grid32.nodes
     sigma = Metric2.round(grid32, 1.0)
-    f = ScalarField(grid32, np.sin(th) * np.sin(ph))
-    low = calc.gradient(sigma, f)
-    up = calc.gradient_raised(sigma, f)
-    assert_allclose(up.a_theta, low.a_theta, atol=1e-12)
-    assert_allclose(up.a_phi, low.a_phi / np.sin(th) ** 2, atol=1e-12)
+    df = calc.gradient(sigma, ScalarField(grid32, np.sin(th) * np.sin(ph)))
+    assert_allclose(calc.form_dot(sigma, df, df),
+                    df.a_theta ** 2 + df.a_phi ** 2 / np.sin(th) ** 2,
+                    atol=1e-12)
 
 
 def test_adjointness_random_fields(grid48):
@@ -172,11 +172,12 @@ def test_metric_add_dtau(grid32):
     assert_allclose(same.pp, sigma.pp, atol=1e-13)
 
     tau = ScalarField(grid32, 0.1 * np.cos(th))
-    hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
+    dtau = calc.gradient(sigma, tau)
+    hat = calc.metric_add_dtau(sigma, dtau)
     k_hat = calc.gauss_curvature(hat)
     assert k_hat.values.min() > 0.0
 
-    det_expected = sigma.det() * (1.0 + calc.norm_grad_sq(sigma, tau))
+    det_expected = sigma.det() * (1.0 + calc.form_dot(sigma, dtau, dtau))
     assert_allclose(hat.det(), det_expected, atol=1e-12)
 
 

@@ -99,9 +99,32 @@ def test_cli_rejects_nonpositive_tolerances(schw_file):
     ["plotdata", "stability"],
     ["catalog", "flat", "--axes", "1,x,2", "--out", "unused.json"],
     ["catalog", "flat", "--axes", "1,2", "--out", "unused.json"],
+    # Out of the --resolution bounds: refused before any grid is built.
+    ["catalog", "flat", "--resolution", "4000000", "--out", "unused.json"],
+    ["validate", "--resolution", "3"],
+    ["plotdata", "mass-curves", "--resolution", "73"],
 ])
 def test_cli_rejects_malformed_arguments(argv):
+    grids = sphere_grid.cache_info().currsize
     assert main(argv) == 2
+    assert sphere_grid.cache_info().currsize == grids
+
+
+def test_cli_maps_linear_algebra_failure_to_solver_exit(monkeypatch, capsys,
+                                                        tmp_path, grid16):
+    import scipy.linalg
+
+    # A round sphere starts at its solution; an ellipsoid needs a
+    # Gauss-Newton step, and with it a factorization.
+    path = tmp_path / "ellipsoid.json"
+    save_surface_data(path, minkowski_surface_data(
+        MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.2)), grid16).data)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+    monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
+    assert main(["compute", str(path), "--which", "byly"]) == 3
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_cli_compute_rejects_zero_h(tmp_path, schw_file):
@@ -249,6 +272,16 @@ def test_cli_determinism(tmp_path, schw_file):
         assert main(["compute", schw_file, "--which", "byly",
                      "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_export_table_matches_module_all():
+    for module, names in qlm._EXPORTS.items():
+        mod = getattr(qlm, module)
+        for name in names:
+            assert getattr(qlm, name) is getattr(mod, name)
+            assert name in mod.__all__, f"{module}.{name}"
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{module}.{name}"
 
 
 def test_cli_import_leaves_numpy_unloaded():

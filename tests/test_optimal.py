@@ -96,7 +96,8 @@ def test_basin_independence(grid32, schw32):
 def test_inadmissible_start_raises(grid32, schw32):
     steep = TimeFunction.from_modes(grid32, {(4, 0, 0): 3.0})
     with pytest.raises(PreconditionError):
-        solve_optimal(schw32.data, steep, OPTS)
+        solve_optimal(schw32.data, steep, OPTS,
+                      workspace=EnergyWorkspace(grid32, weyl_tol=1e-11))
 
 
 def test_hessian_symmetry_and_spectra(grid32, schw32, schw_critical, flat_ellipsoid32):

@@ -83,7 +83,8 @@ def test_radial_data_validation():
         RadialInitialData(1.0, 4.0,
                           g_rr=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
                           p_rr=lambda r: 0.0 * np.asarray(r),
-                          p_tang=lambda r: 0.0 * np.asarray(r))
+                          p_tang=lambda r: 0.0 * np.asarray(r),
+                          dg_rr=lambda r: 0.0 * np.asarray(r))
 
 
 def test_shi_tam_flow_flat_and_schwarzschild():
