@@ -14,10 +14,12 @@ import json
 import os
 import sys
 
-# Bounds of --resolution n, for an n x 2n grid, which needs n >= 4. Peak memory
-# grows as n^4 with the dense harmonic basis at the Weyl degree cap: a sharp
-# light-cone cut peaks at 763 MiB at n = 48, so n = 72 needs about 3.9 GiB.
-RESOLUTION_MIN = 4
+# Bounds of --resolution n, for an n x 2n grid. The Weyl solver's degree cap,
+# at least 8 (embedding.WeylSolver.l_cap), must fit the grid's harmonic
+# support n - 1, so n >= 9. Peak memory grows as n^4 with the dense harmonic
+# basis at the degree cap: a sharp light-cone cut peaks at 763 MiB at n = 48,
+# so n = 72 needs about 3.9 GiB.
+RESOLUTION_MIN = 9
 RESOLUTION_MAX = 72
 
 

@@ -215,13 +215,13 @@ def byly_mass(data, *, workspace):
     return (state["reference"] - int_h) / (8.0 * np.pi)
 
 
-def boost_angle(data, tau):
+def boost_angle(data, dtau):
     """Pointwise boost angle of the canonical gauge.
 
     asinh of -(Laplacian tau) / (|H| * sqrt(1 + |grad tau|^2)); finite
-    everywhere since |H| > 0.
+    everywhere since |H| > 0. ``dtau`` is the differential
+    ``calc.gradient(data.sigma, tau)`` of the time function.
     """
-    dtau = calc.gradient(data.sigma, tau.tau)
     lap = calc.divergence(data.sigma, dtau)
     return _canonical_angle(data, lap.values, _graph_w(data.sigma, dtau))
 
@@ -246,14 +246,14 @@ def wang_yau_energy(data, tau, *, workspace):
         theta=angle)
 
 
-def gauge_functional(data, tau, phi):
+def gauge_functional(data, dtau, phi):
     """Physical Hamiltonian term with an arbitrary gauge angle field ``phi``.
 
-    At the canonical angle it reproduces the physical term of
-    :func:`wang_yau_energy`; any other angle cannot decrease it.
+    ``dtau`` is the differential of the time function, as in
+    :func:`boost_angle`. At the canonical angle it reproduces the physical
+    term of :func:`wang_yau_energy`; any other angle cannot decrease it.
     """
-    grad_tau = calc.gradient(data.sigma, tau.tau)
-    return _physical_term(data, phi, _graph_w(data.sigma, grad_tau), grad_tau)
+    return _physical_term(data, phi, _graph_w(data.sigma, dtau), dtau)
 
 
 def mass_density(data, tau, *, workspace):

@@ -26,10 +26,9 @@ from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                       surface_data_from_embedding)
 from .errors import QlmError
 from .fields import Metric2, ScalarField
-from .functionals import (EnergyWorkspace, TimeFunction, _canonical_angle,
-                          _graph_w, _physical_term, byly_mass,
-                          euler_lagrange_residual, hawking_mass,
-                          wang_yau_energy)
+from .functionals import (EnergyWorkspace, TimeFunction, boost_angle,
+                          byly_mass, euler_lagrange_residual, gauge_functional,
+                          hawking_mass, wang_yau_energy)
 from .grid import sphere_grid
 from .optimal import (OptimalSolveOptions, comparison_check, hessian_check,
                       solve_optimal)
@@ -153,14 +152,13 @@ def _el_gradient_defect(ctx, data, tau):
 def _gauge_defect(ctx, data, tau):
     """min over eps of F(theta + eps Y20) - F(theta); negative = violation."""
     dtau = calc.gradient(data.sigma, tau.tau)
-    w = _graph_w(data.sigma, dtau)
-    theta = _canonical_angle(data, calc.divergence(data.sigma, dtau).values, w)
-    base = _physical_term(data, theta, w, dtau)
+    theta = boost_angle(data, dtau)
+    base = gauge_functional(data, dtau, theta)
     bump = TimeFunction.from_modes(ctx.grid, {(2, 0, 0): 1.0}).tau
     diffs = []
     for eps in (1e-2, -1e-2):
         phi = ScalarField(ctx.grid, theta.values + eps * bump.values)
-        diffs.append(_physical_term(data, phi, w, dtau) - base)
+        diffs.append(gauge_functional(data, dtau, phi) - base)
     return min(diffs)
 
 

@@ -51,7 +51,8 @@ def test_byly_requires_convex_metric(grid32):
 
 
 def test_boost_angle_examples(grid32, schw32):
-    zero = boost_angle(schw32.data, TimeFunction.zero(grid32))
+    zero = boost_angle(schw32.data, calc.gradient(
+        schw32.data.sigma, TimeFunction.zero(grid32).tau))
     assert np.max(np.abs(zero.values)) < 1e-12
 
     # Independent pointwise evaluation on round unit-sphere data, |H| = 2.
@@ -61,8 +62,9 @@ def test_boost_angle_examples(grid32, schw32):
     y10 = np.sqrt(3.0 / (4.0 * np.pi)) * np.cos(th)
     flat_round = minkowski_surface_data(
         MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.0)), grid)
-    tau = TimeFunction(ScalarField(grid, eps * y10))
-    angle = boost_angle(flat_round.data, tau)
+    tau = ScalarField(grid, eps * y10)
+    angle = boost_angle(flat_round.data,
+                        calc.gradient(flat_round.data.sigma, tau))
     grad_sq = (eps * np.sqrt(3.0 / (4.0 * np.pi)) * np.sin(th)) ** 2
     expected = np.arcsinh(2.0 * eps * y10 / (2.0 * np.sqrt(1.0 + grad_sq)))
     assert_allclose(angle.values, expected, atol=1e-12)
@@ -70,7 +72,7 @@ def test_boost_angle_examples(grid32, schw32):
     # Sign: opposite to the Laplacian of tau.
     (tau_r,) = random_band_limited(grid, 1, lmax=6, seed=21)
     lap = calc.laplacian(schw32.data.sigma, tau_r)
-    ang = boost_angle(schw32.data, TimeFunction(tau_r))
+    ang = boost_angle(schw32.data, calc.gradient(schw32.data.sigma, tau_r))
     mask = np.abs(lap.values) > 1e-8
     assert np.all(np.sign(ang.values[mask]) == -np.sign(lap.values[mask]))
 
@@ -103,23 +105,24 @@ def test_energy_invariant_under_time_translation(grid32, schw32, ws32):
 def test_gauge_functional(grid32, schw32, lightcone32, ws32):
     for data, tau in ((schw32.data, TimeFunction.from_modes(grid32, {(1, 0, 0): 0.04})),
                       (lightcone32.data, lightcone32.tau_bar)):
-        theta = boost_angle(data, tau)
-        base = gauge_functional(data, tau, theta)
+        dtau = calc.gradient(data.sigma, tau.tau)
+        theta = boost_angle(data, dtau)
+        base = gauge_functional(data, dtau, theta)
         physical = wang_yau_energy(data, tau, workspace=ws32).physical_term
         assert abs(base - physical) < 1e-12
         bump = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0}).tau
         for eps in (1e-2, -1e-2):
             phi = ScalarField(grid32, theta.values + eps * bump.values)
-            assert gauge_functional(data, tau, phi) >= base
+            assert gauge_functional(data, dtau, phi) >= base
 
     # tau = 0: the functional reduces to the cosh-weighted |H| integral,
     # minimized at zero angle.
-    tau0 = TimeFunction.zero(grid32)
-    base = gauge_functional(schw32.data, tau0, ScalarField.constant(grid32, 0.0))
+    dtau0 = calc.gradient(schw32.data.sigma, TimeFunction.zero(grid32).tau)
+    base = gauge_functional(schw32.data, dtau0, ScalarField.constant(grid32, 0.0))
     expected = calc.integrate(schw32.data.sigma, schw32.data.h_norm) / (8 * np.pi)
     assert abs(base - expected) < 1e-12
     phi = TimeFunction.from_modes(grid32, {(2, 0, 0): 0.1}).tau
-    assert gauge_functional(schw32.data, tau0, phi) > base
+    assert gauge_functional(schw32.data, dtau0, phi) > base
 
 
 def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
@@ -162,7 +165,8 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
     frame4 = (h4 * e3 - h3 * e4) / h_norm
 
     # Arbitrary gauge: the functional's angle is minus the frame boost angle.
-    phi = ScalarField(grid32, boost_angle(data, tau).values
+    grad_tau = calc.gradient(sigma, tau.tau)
+    phi = ScalarField(grid32, boost_angle(data, grad_tau).values
                       + 0.05 * TimeFunction.from_modes(
                           grid32, {(2, 0, 0): 1.0}).tau.values)
     chi = -phi.values
@@ -171,14 +175,13 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
 
     d_t = np.stack([t.dtheta(c, 0) for c in leg3])
     d_p = np.stack([t.dphi(c) for c in leg3])
-    grad_tau = calc.gradient(sigma, tau.tau)
     v_t = itt * grad_tau.a_theta + itp * grad_tau.a_phi
     v_p = itp * grad_tau.a_theta + ipp * grad_tau.a_phi
     w = np.sqrt(1.0 + calc.form_dot(sigma, grad_tau, grad_tau))
     bracket = (-w * dot(h_vec, leg3)
                - dot(v_t * d_t + v_p * d_p, leg4))
     direct = calc.integrate(sigma, ScalarField(grid32, bracket)) / (8.0 * np.pi)
-    value = gauge_functional(data, tau, phi)
+    value = gauge_functional(data, grad_tau, phi)
     assert abs(direct - value) < 1e-9 * max(1.0, abs(value))
 
 

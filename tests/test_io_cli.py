@@ -102,6 +102,7 @@ def test_cli_rejects_nonpositive_tolerances(schw_file):
     # Out of the --resolution bounds: refused before any grid is built.
     ["catalog", "flat", "--resolution", "4000000", "--out", "unused.json"],
     ["validate", "--resolution", "3"],
+    ["catalog", "flat", "--resolution", "8", "--out", "unused.json"],
     ["plotdata", "mass-curves", "--resolution", "73"],
 ])
 def test_cli_rejects_malformed_arguments(argv):
