@@ -29,7 +29,7 @@ _EXPORTS = {
                 "surface_data_from_embedding", "imcf_hawking_monotonicity"),
     "embedding": ("EmbeddedGeometry", "EmbeddingR3", "WeylSolver",
                   "extract_geometry", "graph_embedding", "herglotz_report",
-                  "minkowski_identity_residual", "solve_weyl"),
+                  "minkowski_identity_residual"),
     "errors": ("QlmError",),
     "fields": ("Metric2", "OneForm", "ScalarField", "SymTensor2"),
     "functionals": ("EnergyBreakdown", "EnergyWorkspace", "SurfaceData",

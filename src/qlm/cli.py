@@ -14,11 +14,12 @@ import json
 import os
 import sys
 
-# Bounds of --resolution n, for an n x 2n grid. The Weyl solver's degree cap,
-# at least 8 (embedding.WeylSolver.l_cap), must fit the grid's harmonic
-# support n - 1, so n >= 9. Peak memory grows as n^4 with the dense harmonic
-# basis at the degree cap: a sharp light-cone cut peaks at 763 MiB at n = 48,
-# so n = 72 needs about 3.9 GiB.
+# Bounds of --resolution n, for an n x 2n grid. n = 9 is the coarsest grid
+# whose harmonic support n - 1 holds the Weyl solver's full degree floor of 8
+# (embedding.WeylSolver.l_cap); coarser data files still solve, with the cap
+# clipped to n - 1, but the CLI does not generate them. Peak memory grows as
+# n^4 with the dense harmonic basis at the degree cap: a sharp light-cone cut
+# peaks at 763 MiB at n = 48, so n = 72 needs about 3.9 GiB.
 RESOLUTION_MIN = 9
 RESOLUTION_MAX = 72
 
@@ -412,7 +413,7 @@ def main(argv=None):
             print(f"diagnostics: {json.dumps(safe, sort_keys=True)}",
                   file=sys.stderr)
         return 3
-    except QlmError as exc:
+    except (QlmError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,6 @@ __all__ = [
     "EmbeddedGeometry",
     "GraphEmbedding",
     "WeylSolver",
-    "solve_weyl",
     "extract_geometry",
     "minkowski_identity_residual",
     "herglotz_report",
@@ -68,10 +67,6 @@ class EmbeddingR3:
         xt, xp = self.tangents
         return Metric2(self.grid,
                        (xt * xt).sum(0), (xt * xp).sum(0), (xp * xp).sum(0))
-
-    def shifted(self, offset):
-        return EmbeddingR3(self.grid, self.xyz + np.asarray(offset)[:, None, None],
-                           self.residual, self.l_max)
 
 
 @dataclass(frozen=True)
@@ -128,13 +123,15 @@ class WeylSolver:
     ``tol`` is the relative max-node isometry residual to reach. Cold solves
     start at degree ``L_START`` with step ``CONTINUATION_STEP``; the degree
     cap ``l_cap``, 2/3 of the grid degree (at least 8), leaves an
-    anti-aliasing margin.
+    anti-aliasing margin, and never exceeds what the grid resolves: degree
+    n_theta - 1 in colatitude and order n_phi / 2 - 1 in longitude.
     """
 
     def __init__(self, grid, tol=1e-8):
         self.grid = grid
         self.tol = tol
-        self.l_cap = max(8, (2 * grid.n_theta) // 3)
+        self.l_cap = min(max(8, (2 * grid.n_theta) // 3), grid.n_theta - 1,
+                         grid.n_phi // 2 - 1)
         self._warm = None           # (basis, coefficients) of the last solve
         self._factor = None
         self._factor_l = None
@@ -328,13 +325,9 @@ class WeylSolver:
         self._warm = (basis, coeffs.copy())
         emb = EmbeddingR3(self.grid, x, rel, basis.lmax)
         # Pin the induced-measure centroid at the origin.
-        return emb.shifted(-_area_centroid(emb.xyz, emb.induced_metric()))
-
-
-def solve_weyl(sigma_hat, tol=1e-8):
-    """Embed ``sigma_hat`` to isometry residual ``tol`` with a fresh
-    :class:`WeylSolver` (a cold solve: ``L_START``, ``CONTINUATION_STEP``)."""
-    return WeylSolver(sigma_hat.grid, tol).solve(sigma_hat)
+        offset = -_area_centroid(emb.xyz, emb.induced_metric())
+        return EmbeddingR3(self.grid, emb.xyz + offset[:, None, None], rel,
+                           basis.lmax)
 
 
 def extract_geometry(emb):
@@ -481,23 +474,20 @@ class GraphEmbedding:
     lorentz_residual: float
 
 
-def graph_embedding(sigma, tau, solver=None):
+def graph_embedding(sigma, tau, solver):
     """Lift (sigma, tau) to X = (tau, X_space) in Minkowski space.
 
-    The spatial part isometrically embeds sigma + dtau (x) dtau, with
-    ``solver`` or a fresh default :class:`WeylSolver`; the induced Lorentz
-    metric of the graph then reproduces sigma up to solver residual. The
-    mean-curvature vector is computed as the sigma-Laplacian of the four
-    coordinate functions. Raises :class:`AdmissibilityError` when the graph
-    metric is not strictly convex.
+    The spatial part isometrically embeds sigma + dtau (x) dtau with the
+    :class:`WeylSolver` ``solver``; the induced Lorentz metric of the graph
+    then reproduces sigma up to solver residual. The mean-curvature vector is
+    computed as the sigma-Laplacian of the four coordinate functions. Raises
+    :class:`AdmissibilityError` when the graph metric is not strictly convex.
     """
     grid = same_grid(sigma, tau)
     dtau = calc.gradient(sigma, tau)
     sigma_hat = calc.metric_add_dtau(sigma, dtau)
     calc.require_positive_curvature(
         sigma_hat, "time function (graph metric)", AdmissibilityError)
-    if solver is None:
-        solver = WeylSolver(grid)
     emb = solver.solve(sigma_hat, check_curvature=False)
 
     lap_t = calc.divergence(sigma, dtau).values

@@ -89,9 +89,6 @@ class ScalarField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
 
 @dataclass(frozen=True)
 class OneForm:
@@ -124,9 +121,6 @@ class OneForm:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return OneForm(self.grid, -self.a_theta, -self.a_phi)
-
 
 @dataclass(frozen=True)
 class SymTensor2:
@@ -147,19 +141,6 @@ class SymTensor2:
 
     def components(self):
         return self.tt, self.tp, self.pp
-
-    def __add__(self, other):
-        same_grid(self, other)
-        return SymTensor2(self.grid, self.tt + other.tt, self.tp + other.tp, self.pp + other.pp)
-
-    def __sub__(self, other):
-        same_grid(self, other)
-        return SymTensor2(self.grid, self.tt - other.tt, self.tp - other.tp, self.pp - other.pp)
-
-    def __mul__(self, scalar):
-        return SymTensor2(self.grid, self.tt * scalar, self.tp * scalar, self.pp * scalar)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

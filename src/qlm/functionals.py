@@ -78,10 +78,6 @@ class TimeFunction:
 
     tau: ScalarField
 
-    @property
-    def grid(self):
-        return self.tau.grid
-
     @classmethod
     def zero(cls, grid):
         return cls(ScalarField.constant(grid, 0.0))
@@ -99,10 +95,6 @@ class TimeFunction:
 
     def mean_removed(self):
         return TimeFunction(self.tau - self.tau.mean_round())
-
-    def __add__(self, other):
-        tau2 = other.tau if isinstance(other, TimeFunction) else other
-        return TimeFunction(self.tau + tau2)
 
 
 @dataclass(frozen=True)
@@ -161,16 +153,14 @@ class EnergyWorkspace:
 
     def _build_state(self, sigma, tau):
         # graph_embedding raises AdmissibilityError on a non-convex graph
-        # metric, and its time component is the Laplacian of tau.
-        graph = graph_embedding(sigma, tau.tau, solver=self.solver)
+        # metric; it carries sigma_hat, dtau and, as the time component of its
+        # mean-curvature vector, the Laplacian of tau.
+        graph = graph_embedding(sigma, tau.tau, self.solver)
         geom = extract_geometry(graph.space)
         return {
-            "sigma_hat": graph.sigma_hat,
             "graph": graph,
             "geom": geom,
-            "grad_tau": graph.dtau,
             "w": _graph_w(sigma, graph.dtau),
-            "lap_tau": ScalarField(self.grid, graph.mean_vec[0]),
             "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
         }
 
@@ -236,9 +226,10 @@ def _physical_term(data, angle, w, grad_tau):
 def wang_yau_energy(data, tau, *, workspace):
     """Quasi-local energy of (data, tau): reference term minus physical term."""
     state = workspace.graph_state(data.sigma, tau)
-    angle = _canonical_angle(data, state["lap_tau"].values, state["w"])
+    graph = state["graph"]
+    angle = _canonical_angle(data, graph.mean_vec[0], state["w"])
     reference = state["reference"] / (8.0 * np.pi)
-    physical = _physical_term(data, angle, state["w"], state["grad_tau"])
+    physical = _physical_term(data, angle, state["w"], graph.dtau)
     return EnergyBreakdown(
         reference_term=reference,
         physical_term=physical,
@@ -259,14 +250,15 @@ def gauge_functional(data, dtau, phi):
 def mass_density(data, tau, *, workspace):
     """Pointwise quasi-local mass density of the pair (data, tau)."""
     state = workspace.graph_state(data.sigma, tau)
-    h0_sq = state["graph"].h0_sq.values
+    graph = state["graph"]
+    h0_sq = graph.h0_sq.values
     if np.any(h0_sq <= 0.0):
         node = worst_node(h0_sq)
         raise GeometryError(
             f"reference mean-curvature vector not spacelike: |H0|^2 = "
             f"{h0_sq[node]:.3e} at node {node}")
     w = state["w"]
-    common = state["lap_tau"].values ** 2 / w ** 2
+    common = graph.mean_vec[0] ** 2 / w ** 2
     rho = (np.sqrt(h0_sq + common)
            - np.sqrt(data.h_norm.values ** 2 + common)) / w
     return ScalarField(data.grid, rho)
@@ -280,7 +272,8 @@ def euler_lagrange_residual(data, tau, *, workspace):
     """
     state = workspace.graph_state(data.sigma, tau)
     sigma = data.sigma
-    sigma_hat = state["sigma_hat"]
+    graph = state["graph"]
+    sigma_hat = graph.sigma_hat
     geom = state["geom"]
     w = state["w"]
 
@@ -294,10 +287,10 @@ def euler_lagrange_residual(data, tau, *, workspace):
     hess = calc.covariant_hessian(sigma, tau.tau)
     bulk = (a_tt * hess.tt + 2.0 * a_tp * hess.tp + a_pp * hess.pp) / w
 
-    angle = _canonical_angle(data, state["lap_tau"].values, w)
+    angle = _canonical_angle(data, graph.mean_vec[0], w)
     grad_angle = calc.gradient(sigma, angle)
     factor = np.cosh(angle.values) * data.h_norm.values / w
-    flux_form = state["grad_tau"] * factor - grad_angle - data.alpha
+    flux_form = graph.dtau * factor - grad_angle - data.alpha
     return ScalarField(
         data.grid, bulk + calc.divergence(sigma, flux_form).values)
 

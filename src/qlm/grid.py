@@ -16,9 +16,7 @@ import numpy as np
 from .errors import InvalidFieldError
 from .harmonics import RealHarmonicBasis, SphereTransform, gauss_legendre_colatitude
 
-__all__ = ["SphereGrid", "sphere_grid", "DEFAULT_N_THETA"]
-
-DEFAULT_N_THETA = 48
+__all__ = ["SphereGrid", "sphere_grid"]
 
 
 class SphereGrid:
@@ -79,8 +77,6 @@ class SphereGrid:
 
 
 @functools.lru_cache(maxsize=None)
-def sphere_grid(n_theta=DEFAULT_N_THETA, n_phi=None):
-    """Interned grid factory; ``n_phi`` defaults to ``2 * n_theta``."""
-    if n_phi is None:
-        n_phi = 2 * n_theta
+def sphere_grid(n_theta, n_phi):
+    """Interned grid factory."""
     return SphereGrid(n_theta, n_phi)

@@ -5,12 +5,12 @@ the initial data is g_rr(r) dr^2 + r^2 dOmega^2 with second fundamental form
 p_rr(r) dr^2 + p_tang(r) r^2 dOmega^2.
 
 The Jang operator reduces to a second-order ODE in f(r) that depends on f
-only through its derivatives; the solver shoots on v = f'. The scalar-flat
-quasi-spherical extension of a round sphere reduces to a linear first-order
-ODE for h = 1/u^2 whose conserved quantity is the ADM energy; the monotone
-mass aspect e(r) = r (1 - 1/u) decreases to that energy. An independent
-large-sphere flux evaluation of the ADM energy (Cartesian finite differences
-on coordinate spheres) closes the loop.
+only through its derivatives; the solver integrates v = f' inward from the
+far-end slope. The scalar-flat quasi-spherical extension of a round sphere
+reduces to a linear first-order ODE for h = 1/u^2 whose conserved quantity is
+the ADM energy; the monotone mass aspect e(r) = r (1 - 1/u) decreases to that
+energy. An independent large-sphere flux evaluation of the ADM energy
+(Cartesian finite differences on coordinate spheres) closes the loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, QlmError
 from .grid import sphere_grid
@@ -160,52 +159,25 @@ class JangSolution:
 
 
 def solve_jang_radial(data, tau0, far_slope=0.0):
-    """Shoot the radial Jang equation to a prescribed far-end slope.
+    """Solve the radial Jang equation with slope ``far_slope`` at r_max.
 
-    The equation only involves f through derivatives, so the solver shoots on
-    v = f' from r_min to r_max, matches v(r_max) = ``far_slope`` (zero for
-    asymptotically flat decay), then integrates f up from f(r_min) = tau0.
-    Slope blow-up along the way is reported as a trapped-region obstruction.
+    The equation only involves f through v = f', and v(r_max) = ``far_slope``
+    (zero for asymptotically flat decay) fixes v, so v is integrated once,
+    inward from r_max to r_min; f then follows from f(r_min) = tau0. Slope
+    blow-up along the way is reported as a trapped-region obstruction.
     """
     r0, r1 = data.r_min, data.r_max
-    blow = 1e8
 
-    def integrate_v(s, dense=False):
-        def rhs(r, y):
-            return [jang_rhs(data, r, y[0])]
+    def rhs(r, y):
+        return [jang_rhs(data, r, y[0])]
 
-        def explode(r, y):
-            return abs(y[0]) - blow
-        explode.terminal = True
-        sol = solve_ivp(rhs, (r0, r1), [s], rtol=1e-10, atol=_ODE_TOL,
-                        dense_output=dense, events=explode)
-        return sol
-
-    def mismatch(s):
-        sol = integrate_v(s)
-        if sol.t[-1] < r1:
-            raise ConvergenceError(
-                f"Jang slope blow-up at r = {sol.t[-1]:.6g} "
-                f"(shooting value {s:.3e})")
-        return sol.y[0, -1] - far_slope
-
-    m0 = mismatch(0.0)
-    if m0 == 0.0:
-        s_star = 0.0
-    else:
-        lo, hi = -1.0, 1.0
-        m_lo, m_hi = mismatch(lo), mismatch(hi)
-        for _ in range(60):
-            if m_lo * m_hi <= 0:
-                break
-            lo *= 2.0
-            hi *= 2.0
-            m_lo, m_hi = mismatch(lo), mismatch(hi)
-        else:
-            raise ConvergenceError("Jang shooting could not bracket the far slope")
-        s_star = brentq(mismatch, lo, hi, xtol=1e-13, rtol=1e-13)
-
-    sol = integrate_v(s_star, dense=True)
+    def explode(r, y):
+        return abs(y[0]) - 1e8
+    explode.terminal = True
+    sol = solve_ivp(rhs, (r1, r0), [far_slope], rtol=1e-10, atol=_ODE_TOL,
+                    dense_output=True, events=explode)
+    if sol.t[-1] > r0:
+        raise ConvergenceError(f"Jang slope blow-up at r = {sol.t[-1]:.6g}")
 
     def slope(r):
         return sol.sol(np.asarray(r, dtype=float))[0]

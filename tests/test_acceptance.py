@@ -66,3 +66,10 @@ def test_criterion(results, number):
 def test_all_registry_rows_covered(results):
     covered = {check_id for _, ids in CRITERIA.values() for check_id in ids}
     assert covered == set(results), "acceptance map out of sync with registry"
+
+
+def test_el_gradient_probe_clears_the_solve_noise():
+    # Seed 6 draws directions for which a central difference at step 1e-5
+    # sits at the Weyl-solve noise floor, above the row's tolerance.
+    [row] = run_validation(resolution=48, only=["el-gradient-lightcone"], seed=6)
+    assert row.passed, row.actual

@@ -7,7 +7,7 @@ from qlm import calculus as calc
 from qlm import embedding
 from qlm.embedding import (EmbeddingR3, WeylSolver, align_rigid,
                            extract_geometry, graph_embedding, herglotz_report,
-                           minkowski_identity_residual, solve_weyl)
+                           minkowski_identity_residual)
 from qlm.errors import ConvergenceError, GeometryError, PreconditionError
 from qlm.fields import Metric2, ScalarField
 from qlm.grid import sphere_grid
@@ -28,7 +28,7 @@ def mode_field(grid, ell, m, kind, amp):
 
 def test_round_sphere_embedding(grid32):
     r = 2.0
-    emb = solve_weyl(Metric2.round(grid32, r))
+    emb = WeylSolver(grid32).solve(Metric2.round(grid32, r))
     assert emb.residual < 1e-10
     radius = np.sqrt((emb.xyz ** 2).sum(0))
     assert_allclose(radius, r, atol=1e-9)
@@ -63,7 +63,7 @@ def test_tau_perturbed_embedding_two_resolutions():
         tau = mode_field(grid, 1, 0, 0, 0.1)
         sigma = Metric2.round(grid, 1.0)
         sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
-        emb = solve_weyl(sigma_hat, tol=1e-9)
+        emb = WeylSolver(grid, 1e-9).solve(sigma_hat)
         assert emb.residual < 1e-8
         geom = extract_geometry(emb)
         assert geom.lambda2.values.min() > 0.0
@@ -98,7 +98,7 @@ def test_cut_embedding_against_revolution_oracle(grid48):
     f = np.exp(g_of_x(np.cos(th)))
     sigma = Metric2(grid48, f * f, np.zeros(grid48.shape),
                     (f * np.sin(th)) ** 2)
-    emb = solve_weyl(sigma, tol=1e-11)
+    emb = WeylSolver(grid48, 1e-11).solve(sigma)
     geom = extract_geometry(emb)
     total = calc.integrate(sigma, geom.mean_curvature)
 
@@ -117,7 +117,8 @@ def test_minkowski_identity(grid32, solver32):
     tau = mode_field(grid32, 1, 0, 0, 0.1)
     sigma = Metric2.round(grid32, 1.0)
     sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
-    assert minkowski_identity_residual(solve_weyl(sigma_hat)) < 1e-6
+    assert minkowski_identity_residual(
+        WeylSolver(grid32).solve(sigma_hat)) < 1e-6
 
 
 def test_area_invariance_and_area_form_relation(grid32, solver32):
@@ -179,7 +180,8 @@ def test_herglotz_uniqueness(grid32, lightcone32, monkeypatch):
 
 def test_graph_embedding_reduces_at_zero_tau(grid32):
     sigma = Metric2.round(grid32, 4.0)
-    graph = graph_embedding(sigma, ScalarField.constant(grid32, 0.0))
+    graph = graph_embedding(sigma, ScalarField.constant(grid32, 0.0),
+                            WeylSolver(grid32))
     geom = extract_geometry(graph.space)
     assert_allclose(np.sqrt(graph.h0_sq.values), geom.mean_curvature.values,
                     atol=1e-9)
@@ -188,7 +190,7 @@ def test_graph_embedding_reduces_at_zero_tau(grid32):
 def test_graph_embedding_lorentz_residual_and_time_component(grid32):
     sigma = Metric2.round(grid32, 4.0)
     tau = mode_field(grid32, 1, 0, 0, 0.1)
-    graph = graph_embedding(sigma, tau)
+    graph = graph_embedding(sigma, tau, WeylSolver(grid32))
     assert graph.lorentz_residual < 1e-8
     lap_tau = calc.laplacian(sigma, tau)
     assert_allclose(graph.mean_vec[0], lap_tau.values, atol=1e-10)
@@ -199,7 +201,7 @@ def test_nonconvex_precondition_names_node(grid32):
     waist = Metric2(grid32, np.ones(grid32.shape), np.zeros(grid32.shape),
                     (np.sin(th) * (1.0 + 0.9 * np.cos(th) ** 2)) ** 2)
     with pytest.raises(PreconditionError) as err:
-        solve_weyl(waist)
+        WeylSolver(grid32).solve(waist)
     assert err.value.node is not None
 
 
@@ -210,6 +212,27 @@ def test_continuation_stall_carries_last_iterate(grid32, lightcone32):
         solver.solve(lightcone32.data.sigma)
     iterate = err.value.diagnostics.get("last_iterate")
     assert isinstance(iterate, EmbeddingR3)
+
+
+def test_warm_solves_reuse_the_factorization(grid32, monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    original = scipy.linalg.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    solver = WeylSolver(grid32, tol=1e-10)
+    factorizations = []
+    for axes in ((1.0, 1.0, 1.2), (1.0, 1.0, 1.2), (1.0, 1.0, 1.201)):
+        before = len(calls)
+        assert solver.solve(ellipsoid_metric(grid32, axes)).residual < 1e-10
+        factorizations.append(len(calls) - before)
+    # A cold continuation, then a warm start already at its target, then a
+    # nearby metric whose Gauss-Newton steps reuse the stale factor.
+    assert factorizations == [9, 0, 0]
 
 
 def test_degenerate_tangent_plane(grid32):

@@ -326,7 +326,7 @@ def test_pointwise_conservation_on_minkowski_data(grid32, ws32):
         state = ws32.graph_state(data.sigma, tau)
         theta = wang_yau_energy(data, tau, workspace=ws32).theta
         density = functionals._physical_density(
-            data, theta, state["w"], state["grad_tau"])
+            data, theta, state["w"], state["graph"].dtau)
         defect = state["geom"].mean_curvature.values * state["w"] - density
         assert np.max(np.abs(defect)) < 1e-6
 

@@ -111,6 +111,32 @@ def test_cli_rejects_malformed_arguments(argv):
     assert sphere_grid.cache_info().currsize == grids
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "{data}", "--which", "hawking"],
+    ["optimal", "{data}", "--l-max-tau", "4"],
+    ["catalog", "flat", "--resolution", "16"],
+    ["validate", "--resolution", "24", "--only", "mass-relation-r4"],
+])
+def test_cli_unwritable_output_is_an_input_error(argv, schw_file, tmp_path,
+                                                 capsys):
+    out = tmp_path / "missing" / "out.json"
+    argv = [a.format(data=schw_file) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_cli_compute_byly_below_the_resolution_floor(tmp_path, capsys):
+    # --resolution refuses n = 8, but a data file written elsewhere at that
+    # resolution solves with the degree cap clipped to the grid.
+    path = tmp_path / "schw8.json"
+    sphere = schwarzschild_sphere_data(SphericalSphereSpec(1.0, 4.0),
+                                       sphere_grid(8, 16))
+    save_surface_data(path, sphere.data)
+    assert main(["compute", str(path), "--which", "byly"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["value"] - 4.0 * (1.0 - np.sqrt(0.5))) < 1e-6
+
+
 def test_cli_maps_linear_algebra_failure_to_solver_exit(monkeypatch, capsys,
                                                         tmp_path, grid16):
     import scipy.linalg
