@@ -19,12 +19,12 @@ __all__ = [
     "area_weights",
     "gradient",
     "divergence",
+    "coordinate_laplacian",
     "laplacian",
     "gauss_curvature",
     "metric_add_dtau",
     "form_dot",
     "raise_indices",
-    "christoffels",
     "covariant_hessian",
     "require_positive_curvature",
     "metric_tail_fraction",
@@ -55,23 +55,32 @@ def gradient(sigma, f):
     return OneForm(grid, t.dtheta(f.values, 0), t.dphi(f.values))
 
 
-def _raise_form(sigma, omega):
+def _raise_form(sigma, a_theta, a_phi):
     itt, itp, ipp = sigma.inverse_components()
-    v_t = itt * omega.a_theta + itp * omega.a_phi
-    v_p = itp * omega.a_theta + ipp * omega.a_phi
+    v_t = itt * a_theta + itp * a_phi
+    v_p = itp * a_theta + ipp * a_phi
     return v_t, v_p
+
+
+def coordinate_laplacian(sigma, tangents):
+    """sigma-Laplacians of coordinate functions from their differentials.
+
+    ``tangents`` is the pair (d/dtheta, d/dphi) of the coordinates, each an
+    array whose last two axes are the grid's; a stack (k, n_theta, n_phi)
+    gives the k Laplacians in one pass.
+    """
+    t = sigma.grid.transform
+    v_t, v_p = _raise_form(sigma, *tangents)
+    sq = sigma.sqrt_det()
+    # Contravariant density sqrt(det) * v^theta carries theta-rank 2.
+    return (t.dtheta(sq * v_t, 2) + t.dphi(sq * v_p)) / sq
 
 
 def divergence(sigma, omega):
     """Covariant divergence of a one-form (index raised internally)."""
     grid = same_grid(sigma, omega)
-    t = grid.transform
-    v_t, v_p = _raise_form(sigma, omega)
-    sq = sigma.sqrt_det()
-    # Contravariant density sqrt(det) * v^theta carries theta-rank 2.
-    d_t = t.dtheta(sq * v_t, 2)
-    d_p = t.dphi(sq * v_p)
-    return ScalarField(grid, (d_t + d_p) / sq)
+    return ScalarField(grid, coordinate_laplacian(
+        sigma, (omega.a_theta, omega.a_phi)))
 
 
 def laplacian(sigma, f):
@@ -79,13 +88,9 @@ def laplacian(sigma, f):
     return divergence(sigma, gradient(sigma, f))
 
 
-def christoffels(sigma):
-    """Connection coefficients of ``sigma`` in the fixed chart.
-
-    Returns a dict with keys 'ttt', 'ttp', 'tpp', 'ptt', 'ptp', 'ppp';
-    key 'cab' holds Gamma^c_ab (symmetric in a, b).
-    """
-    grid = sigma.grid
+def covariant_hessian(sigma, f):
+    """Second covariant derivative of a scalar, as a SymTensor2."""
+    grid = same_grid(sigma, f)
     t = grid.transform
     tt, tp, pp = sigma.components()
     itt, itp, ipp = sigma.inverse_components()
@@ -95,29 +100,21 @@ def christoffels(sigma):
     dp_tt = t.dphi(tt)
     dp_tp = t.dphi(tp)
     dp_pp = t.dphi(pp)
-    return {
-        "ttt": 0.5 * (itt * dt_tt + itp * (2.0 * dt_tp - dp_tt)),
-        "ttp": 0.5 * (itt * dp_tt + itp * dt_pp),
-        "tpp": 0.5 * (itt * (2.0 * dp_tp - dt_pp) + itp * dp_pp),
-        "ptt": 0.5 * (itp * dt_tt + ipp * (2.0 * dt_tp - dp_tt)),
-        "ptp": 0.5 * (itp * dp_tt + ipp * dt_pp),
-        "ppp": 0.5 * (itp * (2.0 * dp_tp - dt_pp) + ipp * dp_pp),
-    }
-
-
-def covariant_hessian(sigma, f):
-    """Second covariant derivative of a scalar, as a SymTensor2."""
-    grid = same_grid(sigma, f)
-    t = grid.transform
-    gamma = christoffels(sigma)
+    # Connection coefficients: g_cab is Gamma^c_ab (symmetric in a, b).
+    g_ttt = 0.5 * (itt * dt_tt + itp * (2.0 * dt_tp - dp_tt))
+    g_ttp = 0.5 * (itt * dp_tt + itp * dt_pp)
+    g_tpp = 0.5 * (itt * (2.0 * dp_tp - dt_pp) + itp * dp_pp)
+    g_ptt = 0.5 * (itp * dt_tt + ipp * (2.0 * dt_tp - dp_tt))
+    g_ptp = 0.5 * (itp * dp_tt + ipp * dt_pp)
+    g_ppp = 0.5 * (itp * (2.0 * dp_tp - dt_pp) + ipp * dp_pp)
     f_t = t.dtheta(f.values, 0)
     f_p = t.dphi(f.values)
     f_ttheta = t.dtheta(f_t, 1)
     f_tphi = t.dphi(f_t)
     f_pphi = t.dphi(f_p)
-    h_tt = f_ttheta - gamma["ttt"] * f_t - gamma["ptt"] * f_p
-    h_tp = f_tphi - gamma["ttp"] * f_t - gamma["ptp"] * f_p
-    h_pp = f_pphi - gamma["tpp"] * f_t - gamma["ppp"] * f_p
+    h_tt = f_ttheta - g_ttt * f_t - g_ptt * f_p
+    h_tp = f_tphi - g_ttp * f_t - g_ptp * f_p
+    h_pp = f_pphi - g_tpp * f_t - g_ppp * f_p
     return SymTensor2(grid, h_tt, h_tp, h_pp)
 
 
@@ -163,7 +160,7 @@ def metric_add_dtau(sigma, dtau):
 def hodge_star(sigma, omega):
     """Rotation of a one-form by 90 degrees in the oriented metric sense."""
     grid = same_grid(sigma, omega)
-    v_t, v_p = _raise_form(sigma, omega)
+    v_t, v_p = _raise_form(sigma, omega.a_theta, omega.a_phi)
     sq = sigma.sqrt_det()
     return OneForm(grid, -sq * v_p, sq * v_t)
 
@@ -171,7 +168,7 @@ def hodge_star(sigma, omega):
 def form_dot(sigma, omega, nu):
     """Pointwise pairing sigma^{ab} omega_a nu_b (raw array)."""
     same_grid(sigma, omega, nu)
-    v_t, v_p = _raise_form(sigma, omega)
+    v_t, v_p = _raise_form(sigma, omega.a_theta, omega.a_phi)
     return v_t * nu.a_theta + v_p * nu.a_phi
 
 

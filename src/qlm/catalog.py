@@ -185,10 +185,7 @@ class MinkowskiSurface:
 
 
 def _chart(spec, grid):
-    th, ph = grid.nodes
-    unit = np.stack([np.sin(th) * np.cos(ph),
-                     np.sin(th) * np.sin(ph),
-                     np.cos(th)])
+    unit = grid.unit_sphere
     if spec.variant == "flat_r3":
         a, b, c = spec.axes
         space = np.stack([a * unit[0], b * unit[1], c * unit[2]])
@@ -201,8 +198,8 @@ def _chart(spec, grid):
         v = spec.velocity
         gam = 1.0 / np.sqrt(1.0 - v * v)
         r = spec.radius
-        return np.stack([-gam * v * r * np.cos(th),
-                         r * unit[0], r * unit[1], gam * r * np.cos(th)])
+        return np.stack([-gam * v * r * unit[2],
+                         r * unit[0], r * unit[1], gam * r * unit[2]])
     # graph over a round base
     tau = TimeFunction.from_modes(grid, spec.tau_modes).tau.values
     return np.concatenate([tau[None], spec.radius * unit])
@@ -223,8 +220,8 @@ def surface_data_from_embedding(grid, chart):
     """
     t = grid.transform
     chart = np.asarray(chart, dtype=float)
-    tan_t = np.stack([t.dtheta(c, 0) for c in chart])
-    tan_p = np.stack([t.dphi(c) for c in chart])
+    tan_t = t.dtheta(chart, 0)
+    tan_p = t.dphi(chart)
     try:
         sigma = Metric2(grid,
                         _mink_dot(tan_t, tan_t),
@@ -233,8 +230,7 @@ def surface_data_from_embedding(grid, chart):
     except QlmError as exc:
         raise GenerationError(f"induced metric not spacelike: {exc}") from exc
 
-    lap = np.stack([calc.divergence(sigma, OneForm(grid, ct, cp)).values
-                    for ct, cp in zip(tan_t, tan_p)])
+    lap = calc.coordinate_laplacian(sigma, (tan_t, tan_p))
     # Remove the (numerically tiny) tangential part of the position Laplacian.
     itt, itp, ipp = sigma.inverse_components()
     ht = _mink_dot(lap, tan_t)
@@ -268,8 +264,8 @@ def surface_data_from_embedding(grid, chart):
 
     # Light-cone reflection of H, normalized to the future unit leg.
     frame4 = (h4 * e3 - h3 * e4) / h_norm
-    d_t = np.stack([t.dtheta(c, 0) for c in frame4])
-    d_p = np.stack([t.dphi(c) for c in frame4])
+    d_t = t.dtheta(frame4, 0)
+    d_p = t.dphi(frame4)
     alpha = OneForm(grid,
                     _mink_dot(d_t, h_vec) / h_norm,
                     _mink_dot(d_p, h_vec) / h_norm)
@@ -300,18 +296,15 @@ class LightconeRigidityReport:
         return abs(self.byly - self.byly_from_principal_curvatures)
 
 
-def lightcone_rigidity_report(spec, grid, *, workspace):
-    """Evaluate the rigidity pattern of a light-cone cut.
+def lightcone_rigidity_report(data, *, workspace):
+    """Evaluate the rigidity pattern of the data of a light-cone cut.
 
     The Hawking mass of a positive-curvature cut vanishes, while the
     Brown-York-Liu-Yau mass equals (1/8 pi) times the integrated squared
     difference of the square roots of the principal curvatures of the
     Euclidean reference embedding.
     """
-    if spec.variant != "lightcone_cut":
-        raise GenerationError("rigidity report requires a light-cone cut")
-    surface = minkowski_surface_data(spec, grid)
-    data = surface.data
+    grid = data.grid
     byly = byly_mass(data, workspace=workspace)
     state = workspace.graph_state(data.sigma, TimeFunction.zero(grid))
     geom = state["geom"]

@@ -77,6 +77,14 @@ def _positive_float(text):
     return value
 
 
+def _positive_int(text):
+    """argparse type: an integer that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def _resolution(text):
     """argparse type: a grid resolution within the memory bound."""
     n = int(text)
@@ -116,9 +124,8 @@ def cmd_compute(args):
     if args.which == "hawking":
         report["value"] = hawking_mass(data)
     elif args.which == "byly":
+        tau = TimeFunction.zero(data.grid)
         report["value"] = byly_mass(data, workspace=workspace)
-        report["weyl_residual"] = workspace.graph_state(
-            data.sigma, TimeFunction.zero(data.grid))["graph"].space.residual
     else:
         if loaded.tau is not None:
             tau = loaded.tau
@@ -132,6 +139,7 @@ def cmd_compute(args):
         report["reference_term"] = breakdown.reference_term
         report["physical_term"] = breakdown.physical_term
         report["theta_sup"] = float(np.max(np.abs(breakdown.theta.values)))
+    if args.which != "hawking":
         report["weyl_residual"] = workspace.graph_state(
             data.sigma, tau)["graph"].space.residual
     _emit_json(report, args.out)
@@ -220,7 +228,7 @@ def cmd_optimal(args):
         "energy": result.energy,
         "el_residual_norm": result.el_residual_norm,
         "tau_star_sup": float(np.max(np.abs(result.tau_star.tau.values))),
-        "tau_star": [float(_fmt(v)) for v in result.tau_star.tau.values.ravel()],
+        "tau_star": result.tau_star.tau.values.ravel().tolist(),
     }
     if args.hessian:
         rep = hessian_check(data, result.tau_star, n_modes=args.hessian,
@@ -360,7 +368,7 @@ def build_parser():
     p.add_argument("--tau0-y10", type=float, default=None,
                    help="start from this amplitude of the first zonal mode")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.add_argument("--l-max-tau", type=int, default=16)
+    p.add_argument("--l-max-tau", type=_positive_int, default=16)
     p.add_argument("--max-iter", type=int, default=200)
     p.add_argument("--weyl-tol", type=_positive_float, default=1e-10)
     p.add_argument("--hessian", type=int, default=0,
@@ -383,7 +391,7 @@ def build_parser():
     p.add_argument("--r0", type=float, default=4.0)
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--r-far", type=float, default=1000.0)
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--samples", type=_positive_int, default=33)
     p.add_argument("--span", type=float, default=0.05)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--input", help="surface-data file (stability)")

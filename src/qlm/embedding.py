@@ -60,8 +60,7 @@ class EmbeddingR3:
     def tangents(self):
         """Tangent vectors (X_theta, X_phi), each (3, n_theta, n_phi)."""
         t = self.grid.transform
-        return (np.stack([t.dtheta(c, 0) for c in self.xyz]),
-                np.stack([t.dphi(c) for c in self.xyz]))
+        return t.dtheta(self.xyz, 0), t.dphi(self.xyz)
 
     def induced_metric(self):
         xt, xp = self.tangents
@@ -97,19 +96,6 @@ def _area_centroid(xyz, sigma):
     """Centroid of the coordinate functions ``xyz`` under the area of sigma."""
     jac = calc.area_weights(sigma)
     return np.array([(jac * c).sum() for c in xyz]) / calc.area(sigma)
-
-
-def _round_coefficients(basis, radius):
-    """Coefficients of the round sphere of given radius in a lmin=1 basis."""
-    grid = basis.transform
-    th = grid.theta[:, None]
-    ph = 2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi
-    unit = np.stack([
-        np.sin(th) * np.cos(ph)[None, :],
-        np.sin(th) * np.sin(ph)[None, :],
-        np.broadcast_to(np.cos(th), (grid.n_theta, grid.n_phi)),
-    ])
-    return np.stack([basis.analyze(radius * comp) for comp in unit])
 
 
 class WeylSolver:
@@ -282,7 +268,7 @@ class WeylSolver:
         l_now = min(L_START, self.l_cap)
         basis = self.grid.basis(l_now, lmin=1)
         radius = np.sqrt(calc.area(sigma_hat) / (4.0 * np.pi))
-        coeffs = _round_coefficients(basis, radius)
+        coeffs = np.stack([basis.analyze(radius * c) for c in grid.unit_sphere])
         round_components = np.stack(Metric2.round(grid, radius).components())
 
         t = 0.0
@@ -334,7 +320,6 @@ def extract_geometry(emb):
     """Outward normal, second fundamental form and curvatures of ``emb``."""
     grid = emb.grid
     t = grid.transform
-    x = emb.xyz
     xt, xp = emb.tangents
 
     raw = np.cross(xt, xp, axis=0)
@@ -345,15 +330,13 @@ def extract_geometry(emb):
             f"degenerate tangent plane at node {worst_node(norm)}")
     sigma = emb.induced_metric()
     nu = raw / norm
-    w = grid.quad_weights
-    centroid = (w * x).reshape(3, -1).sum(1) / (4.0 * np.pi)
-    outward = np.sum(w * ((x - centroid[:, None, None]) * nu).sum(0))
-    if outward < 0:
+    x = emb.xyz - _area_centroid(emb.xyz, sigma)[:, None, None]
+    if np.sum(grid.quad_weights * (x * nu).sum(0)) < 0:
         nu = -nu
 
-    xtt = np.stack([t.dtheta(c, 1) for c in xt])
-    xtp = np.stack([t.dphi(c) for c in xt])
-    xpp = np.stack([t.dphi(c) for c in xp])
+    xtt = t.dtheta(xt, 1)
+    xtp = t.dphi(xt)
+    xpp = t.dphi(xp)
     h = SymTensor2(grid,
                    -(xtt * nu).sum(0), -(xtp * nu).sum(0), -(xpp * nu).sum(0))
     itt, itp, ipp = sigma.inverse_components()
@@ -491,8 +474,7 @@ def graph_embedding(sigma, tau, solver):
     emb = solver.solve(sigma_hat, check_curvature=False)
 
     lap_t = calc.divergence(sigma, dtau).values
-    lap_x = np.stack([calc.divergence(sigma, OneForm(grid, xt, xp)).values
-                      for xt, xp in zip(*emb.tangents)])
+    lap_x = calc.coordinate_laplacian(sigma, emb.tangents)
     mean_vec = np.concatenate([lap_t[None], lap_x])
     h0_sq = (lap_x * lap_x).sum(0) - lap_t ** 2
 

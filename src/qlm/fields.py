@@ -36,10 +36,9 @@ def _frozen(grid, values, name):
     return arr
 
 
-def worst_node(values, mode="min"):
-    """(i, j) index of the extremal entry, for error messages."""
-    flat = np.argmin(values) if mode == "min" else np.argmax(np.abs(values))
-    return np.unravel_index(flat, values.shape)
+def worst_node(values):
+    """(i, j) index of the smallest entry, for error messages."""
+    return np.unravel_index(np.argmin(values), values.shape)
 
 
 def same_grid(*objs):

@@ -135,7 +135,6 @@ class EnergyWorkspace:
     """
 
     def __init__(self, grid, weyl_tol=1e-10):
-        self.grid = grid
         self.solver = WeylSolver(grid, weyl_tol)
         self._states = OrderedDict()
 
@@ -163,6 +162,17 @@ class EnergyWorkspace:
             "w": _graph_w(sigma, graph.dtau),
             "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
         }
+
+
+def _newton_tensor(sigma_hat, geom):
+    """h - H sigma_hat of the reference embedding, both indices raised.
+
+    Returns the contravariant components (tt, tp, pp) as raw arrays.
+    """
+    itt, itp, ipp = sigma_hat.inverse_components()
+    h_tt, h_tp, h_pp = calc.raise_indices(sigma_hat, geom.second_form)
+    mean_h = geom.mean_curvature.values
+    return h_tt - mean_h * itt, h_tp - mean_h * itp, h_pp - mean_h * ipp
 
 
 def _graph_w(sigma, grad_tau):
@@ -273,17 +283,8 @@ def euler_lagrange_residual(data, tau, *, workspace):
     state = workspace.graph_state(data.sigma, tau)
     sigma = data.sigma
     graph = state["graph"]
-    sigma_hat = graph.sigma_hat
-    geom = state["geom"]
     w = state["w"]
-
-    itt, itp, ipp = sigma_hat.inverse_components()
-    h_tt, h_tp, h_pp = calc.raise_indices(sigma_hat, geom.second_form)
-    mean_h = geom.mean_curvature.values
-    a_tt = h_tt - mean_h * itt
-    a_tp = h_tp - mean_h * itp
-    a_pp = h_pp - mean_h * ipp
-
+    a_tt, a_tp, a_pp = _newton_tensor(graph.sigma_hat, state["geom"])
     hess = calc.covariant_hessian(sigma, tau.tau)
     bulk = (a_tt * hess.tt + 2.0 * a_tp * hess.tp + a_pp * hess.pp) / w
 
@@ -303,13 +304,7 @@ def total_mean_curvature_variation(sigma_hat, delta, *, workspace):
     raised-index pairing, over the embedding of ``sigma_hat``.
     """
     grid = same_grid(sigma_hat, delta)
-    emb = workspace.solver.solve(sigma_hat)
-    geom = extract_geometry(emb)
-    mean_h = geom.mean_curvature.values
-    b_tt = geom.second_form.tt - mean_h * sigma_hat.tt
-    b_tp = geom.second_form.tp - mean_h * sigma_hat.tp
-    b_pp = geom.second_form.pp - mean_h * sigma_hat.pp
-    d_tt, d_tp, d_pp = calc.raise_indices(sigma_hat, delta)
-
-    pairing = b_tt * d_tt + 2.0 * b_tp * d_tp + b_pp * d_pp
+    geom = extract_geometry(workspace.solver.solve(sigma_hat))
+    b_tt, b_tp, b_pp = _newton_tensor(sigma_hat, geom)
+    pairing = b_tt * delta.tt + 2.0 * b_tp * delta.tp + b_pp * delta.pp
     return -0.5 * calc.integrate(sigma_hat, ScalarField(grid, pairing))

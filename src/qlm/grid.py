@@ -62,6 +62,13 @@ class SphereGrid:
     def sin_theta(self):
         return self.transform.sin_theta
 
+    @property
+    def unit_sphere(self):
+        """Node positions on the unit sphere in R^3: (3, n_theta, n_phi)."""
+        th, ph = self.nodes
+        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                         np.cos(th)])
+
     def basis(self, lmax, lmin=0):
         """Interned real harmonic basis up to degree ``lmax``."""
         key = (lmax, lmin)
@@ -77,6 +84,7 @@ class SphereGrid:
 
 
 @functools.lru_cache(maxsize=None)
-def sphere_grid(n_theta, n_phi):
-    """Interned grid factory."""
+def sphere_grid(n_theta, n_phi, /):
+    """Interned grid factory; positional-only, since the cache keys on the
+    form of the call and a keyword call would intern a second, equal grid."""
     return SphereGrid(n_theta, n_phi)

@@ -98,7 +98,10 @@ class SphereTransform:
     """Derivative and quadrature engine bound to one collocation grid.
 
     Instances are immutable and cache the two dense colatitude
-    differentiation matrices (one per pole parity).
+    differentiation matrices (one per pole parity). ``dtheta`` and ``dphi``
+    act on the last two axes: ``values`` is one (n_theta, n_phi) array or a
+    stack of them along leading axes, which gives the same bits as one call
+    per component.
     """
 
     def __init__(self, theta, x, w, n_phi):
@@ -127,32 +130,28 @@ class SphereTransform:
         return mat
 
     def dtheta(self, values, theta_rank):
-        """d/dtheta of a tensor-component array carrying ``theta_rank`` indices."""
-        f_hat = np.fft.rfft(values, axis=1)
+        """d/dtheta of tensor-component arrays carrying ``theta_rank`` indices."""
+        f_hat = np.fft.rfft(values, axis=-1)
         out = np.empty_like(f_hat)
         even_cols = (self._m + theta_rank) % 2 == 0
         odd_cols = ~even_cols
         if even_cols.any():
-            out[:, even_cols] = self._dtheta_matrix(0) @ f_hat[:, even_cols]
+            out[..., even_cols] = self._dtheta_matrix(0) @ f_hat[..., even_cols]
         if odd_cols.any():
-            out[:, odd_cols] = self._dtheta_matrix(1) @ f_hat[:, odd_cols]
-        return np.fft.irfft(out, n=self.n_phi, axis=1)
+            out[..., odd_cols] = self._dtheta_matrix(1) @ f_hat[..., odd_cols]
+        return np.fft.irfft(out, n=self.n_phi, axis=-1)
 
     def dphi(self, values):
         """d/dphi by Fourier differentiation (Nyquist mode dropped)."""
-        f_hat = np.fft.rfft(values, axis=1)
+        f_hat = np.fft.rfft(values, axis=-1)
         f_hat *= 1j * self._m
         if self.n_phi % 2 == 0:
-            f_hat[:, -1] = 0.0
-        return np.fft.irfft(f_hat, n=self.n_phi, axis=1)
+            f_hat[..., -1] = 0.0
+        return np.fft.irfft(f_hat, n=self.n_phi, axis=-1)
 
     def integrate_round(self, values):
         """Integral against sin(theta) dtheta dphi."""
         return float(2.0 * np.pi / self.n_phi * (self.w @ values.sum(axis=1)))
-
-    def fourier_modes(self, values):
-        """Complex azimuthal modes (unit-normalized): shape (n_theta, n_phi//2+1)."""
-        return np.fft.rfft(values, axis=1) / self.n_phi
 
     def scalar_coefficients(self, values, lmax):
         """Legendre-mode energy table of a scalar field.
@@ -161,7 +160,7 @@ class SphereTransform:
         amplitude in degree l, azimuthal order m. Used for spectral-decay
         diagnostics.
         """
-        modes = self.fourier_modes(values)
+        modes = np.fft.rfft(values, axis=1) / self.n_phi
         out = np.zeros((lmax + 1, lmax + 1))
         m_top = min(lmax, self.n_phi // 2)
         for m in range(m_top + 1):
@@ -254,5 +253,13 @@ class RealHarmonicBasis:
         """Round-measure projection of a field onto the basis."""
         return self.values.T @ (self.node_weights * values.ravel())
 
+    @property
+    def degrees(self):
+        """Degree l of each column, as floats."""
+        return np.array([ell for ell, _, _ in self.modes], dtype=float)
+
     def mode_index(self, ell, m=0, kind=0):
+        if (ell, m, kind) not in self.modes:
+            raise InvalidFieldError(f"mode (l={ell}, m={m}, kind={kind}) is not "
+                                    f"in the degree {self.lmin}..{self.lmax} basis")
         return self.modes.index((ell, m, kind))

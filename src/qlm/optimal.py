@@ -98,7 +98,7 @@ class _EnergyModel:
         area = calc.area(self.data.sigma)
         r_sq = area / (4.0 * np.pi)
         inv_h = float(np.mean(1.0 / self.data.h_norm.values))
-        ells = np.array([ell for ell, _, _ in self.basis.modes], dtype=float)
+        ells = self.basis.degrees
         seed = (ells * (ells + 1.0)) ** 2 * inv_h / (8.0 * np.pi * r_sq)
         return np.maximum(seed, seed[0] * 0.05)
 
@@ -227,6 +227,8 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     the probe basis, so critical points with content above the probe degree
     are differenced where they are actually critical.
     """
+    if n_modes < 1:
+        raise PreconditionError(f"hessian needs at least one mode, got {n_modes}")
     grid = data.grid
     l_needed = int(np.ceil(np.sqrt(n_modes + 1))) + 1
     basis = grid.basis(max(4, l_needed), lmin=1)

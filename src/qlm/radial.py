@@ -120,32 +120,29 @@ def jang_residual_radial(data, fn):
     radial symmetry is
 
         (1/(g W^2)) [ (f'' - g' f' / 2g)/W - p_rr ]
-        + 2 [ f'/(r g W) - p_tang ],          W = sqrt(1 + f'^2 / g).
+        + 2 [ f'/(r g W) - p_tang ],          W = sqrt(1 + f'^2 / g),
+
+    which is (f'' - jang_rhs(r, f')) / (g W^3).
     """
 
     def residual(r):
         r = np.asarray(r, dtype=float)
         g = np.asarray(data.g_rr(r))
-        gp = np.asarray(data.dg_rr(r))
         v = np.asarray(fn.first(r))
-        vp = np.asarray(fn.second(r))
         w = np.sqrt(1.0 + v * v / g)
-        hess_rr = vp - gp * v / (2.0 * g)
-        term_r = (hess_rr / w - np.asarray(data.p_rr(r))) / (g * w * w)
-        term_t = 2.0 * (v / (r * g * w) - np.asarray(data.p_tang(r)))
-        return term_r + term_t
+        return (np.asarray(fn.second(r)) - jang_rhs(data, r, v)) / (g * w ** 3)
 
     return residual
 
 
 def jang_rhs(data, r, v):
-    """f'' solved from the radial Jang equation at (r, f' = v)."""
-    g = float(data.g_rr(r))
-    gp = float(data.dg_rr(r))
+    """f'' solved from the radial Jang equation at (r, f' = v), elementwise."""
+    g = np.asarray(data.g_rr(r))
+    gp = np.asarray(data.dg_rr(r))
     w_sq = 1.0 + v * v / g
     w = np.sqrt(w_sq)
-    return (gp * v / (2.0 * g) + w * float(data.p_rr(r))
-            + 2.0 * g * w ** 3 * float(data.p_tang(r))
+    return (gp * v / (2.0 * g) + w * np.asarray(data.p_rr(r))
+            + 2.0 * g * w ** 3 * np.asarray(data.p_tang(r))
             - 2.0 * w_sq * v / r)
 
 
@@ -162,34 +159,30 @@ def solve_jang_radial(data, tau0, far_slope=0.0):
     """Solve the radial Jang equation with slope ``far_slope`` at r_max.
 
     The equation only involves f through v = f', and v(r_max) = ``far_slope``
-    (zero for asymptotically flat decay) fixes v, so v is integrated once,
-    inward from r_max to r_min; f then follows from f(r_min) = tau0. Slope
-    blow-up along the way is reported as a trapped-region obstruction.
+    (zero for asymptotically flat decay) fixes v, so (v, f) is integrated
+    once, inward from (``far_slope``, 0) at r_max to r_min; f is then shifted
+    so that f(r_min) = tau0. Slope blow-up along the way is reported as a
+    trapped-region obstruction.
     """
     r0, r1 = data.r_min, data.r_max
 
     def rhs(r, y):
-        return [jang_rhs(data, r, y[0])]
+        return [jang_rhs(data, r, y[0]), y[0]]
 
     def explode(r, y):
         return abs(y[0]) - 1e8
     explode.terminal = True
-    sol = solve_ivp(rhs, (r1, r0), [far_slope], rtol=1e-10, atol=_ODE_TOL,
+    sol = solve_ivp(rhs, (r1, r0), [far_slope, 0.0], rtol=1e-10, atol=_ODE_TOL,
                     dense_output=True, events=explode)
     if sol.t[-1] > r0:
         raise ConvergenceError(f"Jang slope blow-up at r = {sol.t[-1]:.6g}")
+    shift = tau0 - sol.y[1, -1]
 
     def slope(r):
         return sol.sol(np.asarray(r, dtype=float))[0]
 
-    def rhs_f(r, y):
-        return [float(slope(r))]
-
-    sol_f = solve_ivp(rhs_f, (r0, r1), [tau0], rtol=1e-10, atol=_ODE_TOL,
-                      dense_output=True)
-
     def value(r):
-        return sol_f.sol(np.asarray(r, dtype=float))[0]
+        return sol.sol(np.asarray(r, dtype=float))[1] + shift
 
     # Quality measure with an independent second derivative: differencing the
     # dense slope keeps the residual from being the solved-for identity.
@@ -264,14 +257,12 @@ def shi_tam_flow(r0, u0, r_max=2048.0):
                                _h=h_dense)
 
 
-def e_of_r(state, r_values=None):
-    """Monotone mass-aspect table [(r, e(r))] of a quasi-spherical state.
+def e_of_r(state, r_values):
+    """Monotone mass-aspect table [(r, e(r))] at the radii ``r_values``.
 
     Raises if monotonicity fails or if the far value misses the ADM energy by
     more than the 2 E^2 / r tail bound.
     """
-    if r_values is None:
-        r_values = np.geomspace(state.r0, state.r_max, 64)
     r_values = np.asarray(r_values, dtype=float)
     e_vals = state.mass_aspect(r_values)
     table = np.column_stack([r_values, e_vals])
@@ -305,11 +296,7 @@ def adm_energy_radial(state, r_eval=1000.0):
 
     def flux(radius):
         grid = sphere_grid(ADM_N_THETA, 2 * ADM_N_THETA)
-        th, ph = grid.nodes
-        nodes = radius * np.stack([np.sin(th) * np.cos(ph),
-                                   np.sin(th) * np.sin(ph),
-                                   np.cos(th)])
-        pts = nodes.reshape(3, -1)
+        pts = (radius * grid.unit_sphere).reshape(3, -1)
         h = ADM_FD_SCALE * radius
 
         def metric(x):

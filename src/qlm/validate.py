@@ -113,16 +113,22 @@ class ValidationContext:
         return self.memo("shi_tam", lambda: shi_tam_flow(
             4.0, 1.0 / np.sqrt(0.5), r_max=2048.0))
 
+    def cut_rigidity(self):
+        return self.memo("cut_rigidity", lambda: lightcone_rigidity_report(
+            self.lightcone().data, workspace=self.workspace))
+
     def random_band_limited(self, count):
         """``count`` random fields of degree 1..5 drawn from the run's seed."""
-        rng = np.random.default_rng(self.seed)
-        basis = self.grid.basis(5, lmin=1)
-        ells = np.array([ell for ell, _, _ in basis.modes], dtype=float)
-        out = []
-        for _ in range(count):
-            coeffs = rng.standard_normal(basis.n_modes) * np.exp(-0.7 * ells)
-            out.append(ScalarField(self.grid, basis.synthesize(coeffs)))
-        return out
+        return _random_fields(self.grid, np.random.default_rng(self.seed), 5,
+                              count)
+
+
+def _random_fields(grid, rng, lmax, count):
+    """``count`` fields of degree 1..lmax, coefficients N(0, 1) * exp(-0.7 l)."""
+    basis = grid.basis(lmax, lmin=1)
+    decay = np.exp(-0.7 * basis.degrees)
+    return [ScalarField(grid, basis.synthesize(
+        rng.standard_normal(basis.n_modes) * decay)) for _ in range(count)]
 
 
 def _el_gradient_defect(ctx, data, tau):
@@ -165,39 +171,26 @@ def _gauge_defect(ctx, data, tau):
     return min(diffs)
 
 
-def _spectral_errors(n_theta, sharp=False):
-    """(gauss-bonnet defect, adjointness defect) on a catalog cut metric.
+def _sharp_cut_metric(n_theta):
+    """Metric of a light-cone cut with a localized spot on an n_theta grid.
 
-    With ``sharp`` the cut carries a localized spot whose harmonic spectrum
-    decays slowly enough that a 24-point grid is genuinely under-resolved;
-    that variant feeds the convergence-ratio check.
+    The spot's harmonic spectrum decays slowly enough that a 24-point grid is
+    genuinely under-resolved; it feeds the convergence-ratio check.
     """
     grid = sphere_grid(n_theta, 2 * n_theta)
-    if sharp:
-        x = np.cos(grid.nodes[0])
-        f = np.exp(0.25 * np.exp(12.0 * (x - 1.0)))
-        chart = np.concatenate([
-            f[None],
-            f * np.stack([np.sin(grid.nodes[0]) * np.cos(grid.nodes[1]),
-                          np.sin(grid.nodes[0]) * np.sin(grid.nodes[1]),
-                          np.cos(grid.nodes[0])])])
-        data, _ = surface_data_from_embedding(grid, chart)
-        sigma = data.sigma
-    else:
-        surface = minkowski_surface_data(
-            MinkowskiSurfaceSpec("lightcone_cut", log_modes=CUT_BUMP), grid)
-        sigma = surface.data.sigma
-    gb = abs(calc.integrate(sigma, calc.gauss_curvature(sigma)) - 4.0 * np.pi)
+    f = np.exp(0.25 * np.exp(12.0 * (np.cos(grid.nodes[0]) - 1.0)))
+    data, _ = surface_data_from_embedding(
+        grid, np.concatenate([f[None], f * grid.unit_sphere]))
+    return data.sigma
 
-    rng = np.random.default_rng(7)
-    basis = grid.basis(8, lmin=1)
-    ells = np.array([ell for ell, _, _ in basis.modes], dtype=float)
-    def rand_field():
-        return ScalarField(grid, basis.synthesize(
-            rng.standard_normal(basis.n_modes) * np.exp(-0.7 * ells)))
-    f = rand_field()
-    omega = (calc.gradient(sigma, rand_field())
-             + calc.hodge_star(sigma, calc.gradient(sigma, rand_field())))
+
+def _spectral_errors(sigma):
+    """(gauss-bonnet defect, adjointness defect) on the metric ``sigma``."""
+    grid = sigma.grid
+    gb = abs(calc.integrate(sigma, calc.gauss_curvature(sigma)) - 4.0 * np.pi)
+    f, g1, g2 = _random_fields(grid, np.random.default_rng(7), 8, 3)
+    omega = (calc.gradient(sigma, g1)
+             + calc.hodge_star(sigma, calc.gradient(sigma, g2)))
     lhs = calc.integrate(sigma, f * calc.divergence(sigma, omega))
     df = calc.gradient(sigma, f)
     pair = calc.form_dot(sigma, df, omega)
@@ -264,18 +257,13 @@ def _checks():
 
     @add("lightcone-byly-positive")
     def _(ctx):
-        rep = ctx.memo("cut_rigidity", lambda: lightcone_rigidity_report(
-            MinkowskiSurfaceSpec("lightcone_cut", log_modes=CUT_BUMP),
-            ctx.grid, workspace=ctx.workspace))
+        rep = ctx.cut_rigidity()
         ok = rep.byly > 1e-8
         return 1.0, 1.0 if ok else 0.0, 0.5, f"byly = {rep.byly:.3e} > 0"
 
     @add("lightcone-byly-principal-formula")
     def _(ctx):
-        rep = ctx.memo("cut_rigidity", lambda: lightcone_rigidity_report(
-            MinkowskiSurfaceSpec("lightcone_cut", log_modes=CUT_BUMP),
-            ctx.grid, workspace=ctx.workspace))
-        return 0.0, rep.mismatch, 1e-6, "byly vs principal-curvature integral"
+        return 0.0, ctx.cut_rigidity().mismatch, 1e-6, "byly vs principal-curvature integral"
 
     # 5. Vanishing energy on Minkowski surfaces at their own time function.
     for name, getter in (("lightcone", "lightcone"), ("boosted", "boosted"),
@@ -411,11 +399,7 @@ def _checks():
                    ctx.lightcone().data.sigma,
                    ctx.graph_surface().data.sigma,
                    ctx.flat_round().data.sigma]
-        th, ph = ctx.grid.nodes
-        s_t = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph),
-                        -1.2 * np.sin(th)])
-        s_p = np.stack([-np.sin(th) * np.sin(ph), np.sin(th) * np.cos(ph),
-                        0.0 * th])
+        s_t, s_p = _ellipsoid_tangents((1.0, 1.0, 1.2), *ctx.grid.nodes)
         metrics.append(Metric2(ctx.grid, (s_t * s_t).sum(0),
                                (s_t * s_p).sum(0), (s_p * s_p).sum(0)))
         for sigma in metrics:
@@ -426,13 +410,13 @@ def _checks():
 
     @add("adjointness")
     def _(ctx):
-        _, adj = _spectral_errors(ctx.resolution)
+        _, adj = _spectral_errors(ctx.lightcone().data.sigma)
         return 0.0, adj, 1e-9 * ctx.relax, "divergence vs gradient pairing"
 
     @add("spectral-convergence-ratio")
     def _(ctx):
-        gb24, adj24 = _spectral_errors(24, sharp=True)
-        gb48, adj48 = _spectral_errors(48, sharp=True)
+        gb24, adj24 = _spectral_errors(_sharp_cut_metric(24))
+        gb48, adj48 = _spectral_errors(_sharp_cut_metric(48))
         floor = 1e-12
         ratios = []
         for coarse, fine in ((gb24, gb48), (adj24, adj48)):
@@ -443,15 +427,21 @@ def _checks():
     return table
 
 
+def _ellipsoid_tangents(axes, th, ph):
+    """Chart derivatives (d/dtheta, d/dphi) of the ellipsoid with ``axes``."""
+    a, b, c = axes
+    return (np.stack([a * np.cos(th) * np.cos(ph), b * np.cos(th) * np.sin(ph),
+                      -c * np.sin(th)]),
+            np.stack([-a * np.sin(th) * np.sin(ph), b * np.sin(th) * np.cos(ph),
+                      0.0 * th]))
+
+
 def _ellipsoid_total_mean_curvature(axes, n_theta):
     """Independent parametric quadrature of the total mean curvature."""
     a, b, c = axes
     grid = sphere_grid(n_theta, 2 * n_theta)
     th, ph = grid.nodes
-    s_t = np.stack([a * np.cos(th) * np.cos(ph), b * np.cos(th) * np.sin(ph),
-                    -c * np.sin(th)])
-    s_p = np.stack([-a * np.sin(th) * np.sin(ph), b * np.sin(th) * np.cos(ph),
-                    0.0 * th])
+    s_t, s_p = _ellipsoid_tangents(axes, th, ph)
     s_tt = np.stack([-a * np.sin(th) * np.cos(ph), -b * np.sin(th) * np.sin(ph),
                      -c * np.cos(th)])
     s_tp = np.stack([-a * np.cos(th) * np.sin(ph), b * np.cos(th) * np.cos(ph),

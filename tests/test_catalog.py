@@ -72,16 +72,15 @@ def test_lightcone_curvature_identity(grid32, lightcone32):
                     atol=1e-7)
 
 
-def test_lightcone_rigidity_reports(grid32, ws32):
+def test_lightcone_rigidity_reports(grid32, ws32, lightcone32):
     round_rep = lightcone_rigidity_report(
-        MinkowskiSurfaceSpec("lightcone_cut"), grid32, workspace=ws32)
+        minkowski_surface_data(MinkowskiSurfaceSpec("lightcone_cut"), grid32).data,
+        workspace=ws32)
     assert abs(round_rep.hawking) < 1e-9
     assert abs(round_rep.byly) < 1e-9
     assert abs(round_rep.byly_from_principal_curvatures) < 1e-9
 
-    bumped = lightcone_rigidity_report(
-        MinkowskiSurfaceSpec("lightcone_cut", log_modes=CUT_BUMP), grid32,
-        workspace=ws32)
+    bumped = lightcone_rigidity_report(lightcone32.data, workspace=ws32)
     assert abs(bumped.hawking) < 1e-7
     assert bumped.byly > 1e-8
     assert bumped.mismatch < 1e-6

@@ -37,6 +37,23 @@ def test_grid_shape_constraints():
         sphere_grid(8, 2)
 
 
+def test_sphere_grid_interns_positional_calls_only():
+    assert sphere_grid(16, 32) is sphere_grid(16, 32)
+    # A keyword call would intern a second grid that same_grid rejects.
+    with pytest.raises(TypeError):
+        sphere_grid(n_theta=16, n_phi=32)
+
+
+def test_stacked_derivatives_match_per_component_calls():
+    t = sphere_grid(16, 32).transform
+    stack = np.random.default_rng(4).standard_normal((2, 3, 16, 32))
+    for rank in (0, 1, 2):
+        single = np.array([[t.dtheta(c, rank) for c in row] for row in stack])
+        assert np.array_equal(t.dtheta(stack, rank), single)
+    single = np.array([[t.dphi(c) for c in row] for row in stack])
+    assert np.array_equal(t.dphi(stack), single)
+
+
 def test_integrate_round_spheres(grid32):
     one = ScalarField.constant(grid32, 1.0)
     assert abs(calc.integrate(Metric2.round(grid32, 1.0), one) - 4 * np.pi) < 1e-12

@@ -112,6 +112,20 @@ def test_cli_rejects_malformed_arguments(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["catalog", "graph", "--modes", "1,5,0:0.1", "--out", "{tmp}/g.json"],
+    ["catalog", "lightcone", "--bump-l", "-1", "--out", "{tmp}/c.json"],
+    ["optimal", "{data}", "--hessian", "-2"],
+    ["optimal", "{data}", "--l-max-tau", "0"],
+    ["plotdata", "shi-tam", "--samples", "0", "--outdir", "{tmp}"],
+])
+def test_cli_out_of_range_inputs_are_input_errors(argv, schw_file, tmp_path,
+                                                  capsys):
+    argv = [a.format(data=schw_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["compute", "{data}", "--which", "hawking"],
     ["optimal", "{data}", "--l-max-tau", "4"],
     ["catalog", "flat", "--resolution", "16"],
@@ -179,6 +193,14 @@ def test_cli_catalog_inside_horizon(tmp_path):
                  "--resolution", "16", "--out", str(tmp_path / "x.json")]) == 2
 
 
+def test_cli_catalog_boosted_records_velocity(tmp_path, capsys):
+    out = tmp_path / "boosted.json"
+    assert main(["catalog", "boosted", "--v", "0.2", "--resolution", "16",
+                 "--out", str(out)]) == 0
+    assert load_surface_data(out).metadata == {"kind": "boosted", "r": 4.0,
+                                               "v": 0.2}
+
+
 def test_cli_catalog_lightcone(tmp_path, capsys):
     out = tmp_path / "cut.json"
     assert main(["catalog", "lightcone", "--bump", "0.1", "--resolution",
@@ -201,6 +223,13 @@ def test_cli_optimal(tmp_path, schw_file, capsys):
     assert report["tau_star_sup"] < 1e-4
     assert report["hessian_min_eigenvalue"] > 0
     assert len(report["tau_star"]) == 16 * 32
+
+
+def test_cli_optimal_iteration_cap_exits_3(schw_file, capsys):
+    code = main(["optimal", schw_file, "--tau0-y10", "0.05", "--max-iter", "1",
+                 "--tol", "1e-12"])
+    assert code == 3
+    assert "iteration cap" in capsys.readouterr().err
 
 
 def test_cli_optimal_nonconvergent_exits_3(tmp_path, capsys):
