@@ -26,10 +26,9 @@ _EXPORTS = {
     "catalog": ("MinkowskiSurfaceSpec", "SphericalSphereSpec",
                 "lightcone_rigidity_report", "mass_relation_check",
                 "minkowski_surface_data", "schwarzschild_sphere_data",
-                "surface_data_from_embedding", "imcf_hawking_monotonicity"),
+                "surface_data_from_embedding"),
     "embedding": ("EmbeddedGeometry", "EmbeddingR3", "WeylSolver",
-                  "extract_geometry", "graph_embedding", "herglotz_report",
-                  "minkowski_identity_residual"),
+                  "extract_geometry", "graph_embedding"),
     "errors": ("QlmError",),
     "fields": ("Metric2", "OneForm", "ScalarField", "SymTensor2"),
     "functionals": ("EnergyBreakdown", "EnergyWorkspace", "SurfaceData",
@@ -41,7 +40,7 @@ _EXPORTS = {
                 "hessian_check", "solve_optimal"),
     "radial": ("QuasiSphericalState", "RadialInitialData", "adm_energy_radial",
                "e_of_r", "jang_residual_radial", "shi_tam_flow",
-               "shi_tam_positivity_instance", "solve_jang_radial"),
+               "solve_jang_radial"),
     "cli": (), "datafile": (), "harmonics": (), "validate": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

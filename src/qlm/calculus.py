@@ -27,7 +27,6 @@ __all__ = [
     "raise_indices",
     "covariant_hessian",
     "require_positive_curvature",
-    "metric_tail_fraction",
 ]
 
 
@@ -191,25 +190,5 @@ def require_positive_curvature(sigma, what="metric", err=PreconditionError):
         raise err(
             f"{what}: Gauss curvature not positive "
             f"(min {k.values[node]:.6e} at node {node})",
-            node=node, value=float(k.values[node]))
+            node=node)
     return k
-
-
-def metric_tail_fraction(sigma):
-    """Smoothness proxy: joint energy fraction of a metric in its top degrees.
-
-    The top degrees are the highest third of the degree range.
-    Components are pooled so that an identically vanishing component (whose
-    roundoff noise has a flat spectrum) cannot dominate the diagnostic.
-    """
-    grid = sigma.grid
-    lmax = grid.n_theta - 1
-    l_cut = int(np.floor((1.0 - 1.0 / 3.0) * lmax))
-    head = 0.0
-    tail_energy = 0.0
-    for comp in sigma.components():
-        by_l = grid.transform.scalar_coefficients(comp, lmax).sum(axis=1)
-        head += by_l[:l_cut + 1].sum()
-        tail_energy += by_l[l_cut + 1:].sum()
-    total = head + tail_energy
-    return 0.0 if total == 0.0 else float(tail_energy / total)

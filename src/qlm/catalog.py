@@ -35,7 +35,6 @@ __all__ = [
     "surface_data_from_embedding",
     "LightconeRigidityReport",
     "lightcone_rigidity_report",
-    "imcf_hawking_monotonicity",
 ]
 
 MINKOWSKI_SIGNATURE = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -75,7 +74,6 @@ class SchwarzschildSphere:
     values are still exported there.
     """
 
-    spec: SphericalSphereSpec
     data: Optional[SurfaceData]
     refs: dict
 
@@ -103,9 +101,9 @@ def schwarzschild_sphere_data(spec, grid):
         "area": 4.0 * np.pi * r * r,
     }
     if spec.grad_r_sq == 0.0:
-        return SchwarzschildSphere(spec, None, refs)
+        return SchwarzschildSphere(None, refs)
     return SchwarzschildSphere(
-        spec, symmetric_sphere_data(grid, r, spec.grad_r_sq), refs)
+        symmetric_sphere_data(grid, r, spec.grad_r_sq), refs)
 
 
 def mass_relation_check(spec):
@@ -113,31 +111,6 @@ def mass_relation_check(spec):
     m = spec.mass_param
     big_m = spec.r * (1.0 - np.sqrt(spec.grad_r_sq))
     return abs(m - (big_m - big_m ** 2 / (2.0 * spec.r)))
-
-
-def imcf_hawking_monotonicity(mass, r_values, grid, grad_r_sq_profile=None):
-    """Hawking mass along the areal-radius foliation of a symmetric slice.
-
-    Returns an (n, 2) table of (r, hawking mass). For the vacuum profile
-    (default) the mass must be non-decreasing along the flow direction and a
-    violation raises; custom profiles are tabulated without a presumed
-    direction.
-    """
-    rows = []
-    for r in r_values:
-        if grad_r_sq_profile is None:
-            w = 1.0 - 2.0 * mass / r
-            if w < 0:
-                raise DomainError(f"radius {r} inside horizon")
-        else:
-            w = grad_r_sq_profile(r)
-        rows.append((float(r), hawking_mass(symmetric_sphere_data(grid, r, w))))
-    table = np.array(rows)
-    if grad_r_sq_profile is None:
-        diffs = np.diff(table[:, 1])
-        if np.any(diffs < -1e-12 * max(1.0, np.abs(table[:, 1]).max())):
-            raise QlmError("Hawking mass decreased along the vacuum foliation")
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +151,6 @@ class MinkowskiSurfaceSpec:
 class MinkowskiSurface:
     """Generated physical data plus the surface's own time function."""
 
-    spec: Optional[MinkowskiSurfaceSpec]
     data: SurfaceData
     tau_bar: TimeFunction
     chart: np.ndarray          # (4, n_theta, n_phi) embedding, time first
@@ -282,7 +254,7 @@ def minkowski_surface_data(spec, grid):
     if spec.variant in ("lightcone_cut", "graph"):
         calc.require_positive_curvature(
             data.sigma, f"{spec.variant} induced metric", GenerationError)
-    return MinkowskiSurface(spec, data, tau_bar, chart)
+    return MinkowskiSurface(data, tau_bar, chart)
 
 
 @dataclass(frozen=True)

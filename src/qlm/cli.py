@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -59,21 +60,21 @@ def _modes(spec):
 
 
 def _r_range(text):
-    """argparse type: 'lo:hi[:num]' as (lo, hi, num), num defaulting to 32."""
+    """argparse type: 'lo:hi[:num]' as (lo, hi, num); num >= 1, default 32."""
     parts = text.split(":") + ["32"]
     try:
         if len(parts) in (3, 4):
-            return float(parts[0]), float(parts[1]), int(parts[2])
+            return float(parts[0]), float(parts[1]), _positive_int(parts[2])
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected 'lo:hi[:num]', got {text!r}")
 
 
 def _positive_float(text):
-    """argparse type: a float that must be strictly positive."""
+    """argparse type: a float that must be finite and strictly positive."""
     value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -388,9 +389,9 @@ def build_parser():
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--r-range", type=_r_range, default="2.5:20",
                    help="lo:hi[:num]")
-    p.add_argument("--r0", type=float, default=4.0)
+    p.add_argument("--r0", type=_positive_float, default=4.0)
     p.add_argument("--E", type=float, default=1.0)
-    p.add_argument("--r-far", type=float, default=1000.0)
+    p.add_argument("--r-far", type=_positive_float, default=1000.0)
     p.add_argument("--samples", type=_positive_int, default=33)
     p.add_argument("--span", type=float, default=0.05)
     p.add_argument("--tol", type=_positive_float, default=1e-6)

@@ -7,10 +7,8 @@ rigid-motion kernel is removed by excluding the degree-0 modes (translations)
 and penalizing the three infinitesimal rotations of the current iterate.
 
 ``extract_geometry`` recovers outward normal, second fundamental form, mean
-and principal curvatures from an embedding; the remaining helpers provide the
-classical convex-surface integral identities used as diagnostics, and the
-graph construction that lifts an embedding to a spacelike surface in
-Minkowski space.
+and principal curvatures from an embedding, and ``graph_embedding`` lifts an
+embedding to a spacelike surface in Minkowski space.
 """
 
 from __future__ import annotations
@@ -34,11 +32,7 @@ __all__ = [
     "GraphEmbedding",
     "WeylSolver",
     "extract_geometry",
-    "minkowski_identity_residual",
-    "herglotz_report",
-    "HerglotzReport",
     "graph_embedding",
-    "align_rigid",
 ]
 
 
@@ -351,92 +345,6 @@ def extract_geometry(emb):
         lambda1=ScalarField(grid, mean_h / 2.0 + disc),
         lambda2=ScalarField(grid, mean_h / 2.0 - disc),
     )
-
-
-def minkowski_identity_residual(emb):
-    """Defect of the identity total-mean-curvature = 2 * integral K <X, nu>."""
-    geom = extract_geometry(emb)
-    sigma = emb.induced_metric()
-    x = emb.xyz - _area_centroid(emb.xyz, sigma)[:, None, None]
-    support = (x * geom.normal).sum(0)
-    k_ext = geom.lambda1.values * geom.lambda2.values
-    int_h = calc.integrate(sigma, geom.mean_curvature)
-    rhs = float(np.sum(calc.area_weights(sigma) * 2.0 * k_ext * support))
-    return abs(int_h - rhs) / abs(int_h)
-
-
-@dataclass(frozen=True)
-class HerglotzReport:
-    total_mean_curvature_diff: float
-    herglotz_rhs: float
-    max_second_form_diff: float
-    aligned_coordinate_rms: float
-
-
-def herglotz_report(sigma_hat, emb1, emb2):
-    """Uniqueness diagnostics for two embeddings of one metric.
-
-    All three report entries vanish (to solver accuracy) exactly when the two
-    embeddings differ by a rigid motion, which is what uniqueness of the
-    convex embedding predicts. Both embeddings must be isometric to
-    ``sigma_hat`` within a relative residual of 1e-6.
-    """
-    same_grid(sigma_hat, emb1.induced_metric())
-    for which, emb in (("first", emb1), ("second", emb2)):
-        rel = _isometry_defect(sigma_hat, emb)
-        if rel > 1e-6:
-            raise PreconditionError(
-                f"{which} embedding is not isometric for the given metric "
-                f"(residual {rel:.3e} > 1.0e-06)")
-    g1 = extract_geometry(emb1)
-    g2 = extract_geometry(emb2)
-    int_h1 = calc.integrate(sigma_hat, g1.mean_curvature)
-    int_h2 = calc.integrate(sigma_hat, g2.mean_curvature)
-    dh = SymTensor2(sigma_hat.grid,
-                    g1.second_form.tt - g2.second_form.tt,
-                    g1.second_form.tp - g2.second_form.tp,
-                    g1.second_form.pp - g2.second_form.pp)
-    det_rel = dh.det() / sigma_hat.det()
-    support = (emb1.xyz * g1.normal).sum(0)
-    rhs = float(np.sum(calc.area_weights(sigma_hat) * 2.0 * det_rel * support))
-    max_dh = float(max(np.max(np.abs(dh.tt)), np.max(np.abs(dh.tp)),
-                       np.max(np.abs(dh.pp))))
-    _, rms = align_rigid(emb2.xyz, emb1.xyz, sigma_hat.grid.quad_weights)
-    return HerglotzReport(
-        total_mean_curvature_diff=int_h1 - int_h2,
-        herglotz_rhs=rhs,
-        max_second_form_diff=max_dh,
-        aligned_coordinate_rms=rms,
-    )
-
-
-def _isometry_defect(sigma_hat, emb):
-    ind = emb.induced_metric()
-    return _max_rel((ind.tt - sigma_hat.tt, ind.tp - sigma_hat.tp,
-                     ind.pp - sigma_hat.pp), sigma_hat.components())
-
-
-def align_rigid(xyz, target, weights):
-    """Best rigid motion (orthogonal map + shift) taking xyz onto target.
-
-    Returns the transformed copy of ``xyz`` and the weighted rms distance to
-    ``target``. Reflections are allowed: convex-embedding uniqueness is up to
-    the full isometry group.
-    """
-    w = weights / weights.sum()
-    a = xyz.reshape(3, -1)
-    b = target.reshape(3, -1)
-    wf = w.ravel()
-    ca = (a * wf).sum(1)
-    cb = (b * wf).sum(1)
-    a0 = a - ca[:, None]
-    b0 = b - cb[:, None]
-    m = (b0 * wf) @ a0.T
-    u, _, vt = np.linalg.svd(m)
-    rot = u @ vt
-    mapped = rot @ a0 + cb[:, None]
-    rms = float(np.sqrt((wf * ((mapped - b) ** 2).sum(0)).sum()))
-    return mapped.reshape(xyz.shape), rms
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,9 @@ class PreconditionError(QlmError, ValueError):
     point when that is meaningful.
     """
 
-    def __init__(self, message, node=None, value=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-        self.value = value
 
 
 class AdmissibilityError(PreconditionError):

@@ -64,8 +64,7 @@ class SurfaceData:
             node = worst_node(self.h_norm.values)
             raise PreconditionError(
                 f"|H| must be positive; min {self.h_norm.values[node]:.3e} "
-                f"at node {node}", node=node,
-                value=float(self.h_norm.values[node]))
+                f"at node {node}", node=node)
 
     @property
     def grid(self):

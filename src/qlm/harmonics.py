@@ -153,26 +153,6 @@ class SphereTransform:
         """Integral against sin(theta) dtheta dphi."""
         return float(2.0 * np.pi / self.n_phi * (self.w @ values.sum(axis=1)))
 
-    def scalar_coefficients(self, values, lmax):
-        """Legendre-mode energy table of a scalar field.
-
-        Returns a (lmax+1, lmax+1) array ``c`` with ``c[l, m]`` the squared
-        amplitude in degree l, azimuthal order m. Used for spectral-decay
-        diagnostics.
-        """
-        modes = np.fft.rfft(values, axis=1) / self.n_phi
-        out = np.zeros((lmax + 1, lmax + 1))
-        m_top = min(lmax, self.n_phi // 2)
-        for m in range(m_top + 1):
-            p, _ = legendre_functions(m, lmax, self.x)
-            re = p @ (self.w * modes[:, m].real)
-            im = p @ (self.w * modes[:, m].imag)
-            amp2 = re ** 2 + im ** 2
-            if m > 0:
-                amp2 = 2.0 * amp2
-            out[m:, m] = amp2
-        return out
-
 
 def real_mode_table(lmax, lmin=0):
     """Mode list [(l, m, kind)] for the real harmonic basis.
@@ -199,6 +179,9 @@ class RealHarmonicBasis:
     """
 
     def __init__(self, transform, lmax, lmin=0):
+        if lmax < lmin:
+            raise InvalidFieldError(
+                f"basis degree {lmax} is below its lowest degree {lmin}")
         if lmax > transform.n_theta - 1:
             raise InvalidFieldError(
                 f"basis degree {lmax} exceeds grid support {transform.n_theta - 1}")
@@ -210,35 +193,31 @@ class RealHarmonicBasis:
         self.transform = transform
         self.modes = real_mode_table(lmax, lmin)
         n_theta, n_phi = transform.n_theta, transform.n_phi
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        n_nodes = n_theta * n_phi
-        n_modes = len(self.modes)
-        self.values = np.empty((n_nodes, n_modes))
-        self.d_theta = np.empty((n_nodes, n_modes))
-        self.d_phi = np.empty((n_nodes, n_modes))
 
-        tables = {}
-        for m in range(lmax + 1):
-            tables[m] = legendre_functions(m, lmax, transform.x)
+        # Each column is P_l^m(theta) times an azimuthal factor: stack the
+        # colatitude rows (n_theta x M) and the azimuthal rows (n_phi x M),
+        # then form every node value in one broadcast product.
+        tables = [legendre_functions(m, lmax, transform.x)
+                  for m in range(lmax + 1)]
+        p = np.stack([tables[m][0][ell - m] for ell, m, _ in self.modes], axis=1)
+        dp = np.stack([tables[m][1][ell - m] for ell, m, _ in self.modes], axis=1)
+        _, m, kind = np.array(self.modes).T
+        sine = kind == 1
+        m_phi = m * (2.0 * np.pi * np.arange(n_phi) / n_phi)[:, None]
+        cos, sin = np.cos(m_phi), np.sin(m_phi)
         inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-        for col, (ell, m, kind) in enumerate(self.modes):
-            p, dp = tables[m]
-            k = ell - m
-            if m == 0:
-                azim = np.full(n_phi, 1.0 / np.sqrt(2.0 * np.pi))
-                dazim = np.zeros(n_phi)
-            elif kind == 0:
-                azim = np.cos(m * phi) * inv_sqrt_pi
-                dazim = -m * np.sin(m * phi) * inv_sqrt_pi
-            else:
-                azim = np.sin(m * phi) * inv_sqrt_pi
-                dazim = m * np.cos(m * phi) * inv_sqrt_pi
-            self.values[:, col] = np.outer(p[k], azim).ravel()
-            self.d_theta[:, col] = np.outer(dp[k], azim).ravel()
-            self.d_phi[:, col] = np.outer(p[k], dazim).ravel()
+        azim = np.where(sine, sin, cos) * inv_sqrt_pi
+        dazim = np.where(sine, m * cos, -m * sin) * inv_sqrt_pi
+        azim[:, m == 0] = 1.0 / np.sqrt(2.0 * np.pi)
+        dazim[:, m == 0] = 0.0
 
-        w2d = np.repeat(transform.w, n_phi) * (2.0 * np.pi / n_phi)
-        self.node_weights = w2d
+        def on_nodes(colatitude, azimuthal):
+            return (colatitude[:, None] * azimuthal).reshape(n_theta * n_phi, -1)
+        self.values = on_nodes(p, azim)
+        self.d_theta = on_nodes(dp, azim)
+        self.d_phi = on_nodes(p, dazim)
+
+        self.node_weights = np.repeat(transform.w, n_phi) * (2.0 * np.pi / n_phi)
 
     @property
     def n_modes(self):

@@ -207,7 +207,6 @@ def solve_optimal(data, tau0, opts=None, *, workspace):
 
 @dataclass(frozen=True)
 class HessianReport:
-    matrix: np.ndarray
     eigenvalues: np.ndarray
     symmetry_defect: float
 
@@ -250,8 +249,7 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     sym_defect = float(np.max(np.abs(raw - raw.T))
                        / max(np.max(np.abs(raw)), 1e-300))
     sym = 0.5 * (raw + raw.T)
-    return HessianReport(matrix=sym,
-                         eigenvalues=np.linalg.eigvalsh(sym),
+    return HessianReport(eigenvalues=np.linalg.eigvalsh(sym),
                          symmetry_defect=sym_defect)
 
 

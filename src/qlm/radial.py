@@ -38,8 +38,6 @@ __all__ = [
     "shi_tam_flow",
     "e_of_r",
     "adm_energy_radial",
-    "ShiTamReport",
-    "shi_tam_positivity_instance",
 ]
 
 _ODE_TOL = 1e-10
@@ -150,8 +148,6 @@ def jang_rhs(data, r, v):
 class JangSolution:
     r: np.ndarray
     f: np.ndarray
-    slope: Callable               # dense f'
-    value: Callable               # dense f
     residual_sup: float
 
 
@@ -196,7 +192,7 @@ def solve_jang_radial(data, tau0, far_slope=0.0):
     interior = np.linspace(r0 + 2 * h_fd, r1 - 2 * h_fd, JANG_SAMPLES)
     res = jang_residual_radial(
         data, RadialFunction(value, slope, second_fd))(interior)
-    return JangSolution(r=rs, f=value(rs), slope=slope, value=value,
+    return JangSolution(r=rs, f=value(rs),
                         residual_sup=float(np.max(np.abs(res))))
 
 
@@ -210,7 +206,6 @@ class QuasiSphericalState:
 
     r0: float
     r_max: float
-    u0: float
     energy: float
     _h: Callable                 # dense 1/u^2 profile from the flow ODE
 
@@ -253,8 +248,7 @@ def shi_tam_flow(r0, u0, r_max=2048.0):
     drift = abs(float(h_dense(r_max)) - (1.0 - 2.0 * energy / r_max))
     if drift > 1e-8:
         raise ConvergenceError(f"scalar-flat flow drifted by {drift:.3e}")
-    return QuasiSphericalState(r0=r0, r_max=r_max, u0=u0, energy=energy,
-                               _h=h_dense)
+    return QuasiSphericalState(r0=r0, r_max=r_max, energy=energy, _h=h_dense)
 
 
 def e_of_r(state, r_values):
@@ -323,47 +317,3 @@ def adm_energy_radial(state, r_eval=1000.0):
     f1 = flux(r_eval)
     f2 = flux(2.0 * r_eval)
     return 2.0 * f2 - f1
-
-
-@dataclass(frozen=True)
-class ShiTamReport:
-    boundary_radius: float
-    boundary_mean_curvature: float
-    brown_york: float
-    adm_energy: float
-    e_start: float
-    e_end: float
-    within_hypotheses: bool
-
-
-def shi_tam_positivity_instance(r0, k, r_max=2048.0):
-    """Positivity chain of the Brown-York value for a round boundary.
-
-    Runs the quasi-spherical extension with boundary lapse matched to the
-    prescribed boundary mean curvature k (u0 = flat mean curvature / k) and
-    reports Brown-York value, ADM energy and the mass-aspect endpoints. When
-    k <= 2/r0 (nonnegative-energy hypotheses) the chain
-    Brown-York = e(r0) >= e(r_max) >= 0 is asserted.
-    """
-    if k <= 0:
-        raise DomainError("boundary mean curvature must be positive")
-    flat_h = 2.0 / r0
-    u0 = flat_h / k
-    state = shi_tam_flow(r0, u0, r_max=r_max)
-    brown_york = r0 - k * r0 * r0 / 2.0
-    e_start = float(state.mass_aspect(state.r0))
-    e_end = float(state.mass_aspect(state.r_max))
-    within = k <= flat_h
-    if within:
-        tol = 1e-10 * max(1.0, abs(brown_york))
-        if not (brown_york >= e_start - tol >= e_end - tol
-                and e_end >= -tol and state.energy >= -tol):
-            raise QlmError("positivity chain violated inside hypotheses")
-    return ShiTamReport(
-        boundary_radius=r0,
-        boundary_mean_curvature=k,
-        brown_york=brown_york,
-        adm_energy=state.energy,
-        e_start=e_start,
-        e_end=e_end,
-        within_hypotheses=within)

@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose
 from oracles import ellipsoid_mean_curvature
 from qlm import calculus as calc
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
-                         imcf_hawking_monotonicity, lightcone_rigidity_report,
-                         minkowski_surface_data, mass_relation_check,
-                         schwarzschild_sphere_data)
+                         lightcone_rigidity_report, minkowski_surface_data,
+                         mass_relation_check, schwarzschild_sphere_data,
+                         symmetric_sphere_data)
 from qlm.errors import DomainError, GenerationError
 from qlm.functionals import byly_mass, hawking_mass, wang_yau_energy
 
@@ -104,20 +104,22 @@ def test_every_minkowski_surface_has_zero_energy(grid32, ws32):
 
 
 def test_imcf_monotonicity_tables(grid32):
+    # Hawking mass along the areal-radius foliation of a symmetric slice with
+    # |grad r|^2 = w(r).
     rs = np.linspace(3.0, 12.0, 10)
-    table = imcf_hawking_monotonicity(1.0, rs, grid32)
-    assert_allclose(table[:, 1], 1.0, atol=1e-10)
 
-    zero = imcf_hawking_monotonicity(0.0, rs, grid32)
-    assert np.max(np.abs(zero[:, 1])) < 1e-12
+    def masses(w):
+        return np.array([hawking_mass(symmetric_sphere_data(grid32, r, w(r)))
+                         for r in rs])
+
+    assert_allclose(masses(lambda r: 1.0 - 2.0 / r), 1.0, atol=1e-10)
+    assert np.max(np.abs(masses(lambda r: 1.0))) < 1e-12
 
     # Perturbed lapse profile: closed form m + eps/(2r), which decreases in r.
     eps = 0.1
-    profile = lambda r: 1.0 - 2.0 / r - eps / r ** 2
-    table2 = imcf_hawking_monotonicity(1.0, rs, grid32,
-                                       grad_r_sq_profile=profile)
-    assert_allclose(table2[:, 1], 1.0 + eps / (2.0 * rs), atol=1e-10)
-    assert np.all(np.diff(table2[:, 1]) < 0.0)
+    perturbed = masses(lambda r: 1.0 - 2.0 / r - eps / r ** 2)
+    assert_allclose(perturbed, 1.0 + eps / (2.0 * rs), atol=1e-10)
+    assert np.all(np.diff(perturbed) < 0.0)
 
 
 def test_generation_errors(grid32):

@@ -9,6 +9,7 @@ from qlm.errors import (GridMismatchError, InvalidFieldError,
                         InvalidMetricError)
 from qlm.fields import Metric2, OneForm, ScalarField
 from qlm.grid import sphere_grid
+from qlm.harmonics import legendre_functions, real_mode_table
 
 
 def ellipsoid_metric(grid, axes):
@@ -207,9 +208,34 @@ def test_hessian_trace_equals_laplacian(grid32):
     assert_allclose(trace, calc.laplacian(sigma, f).values, atol=1e-9)
 
 
-def test_metric_smoothness_proxy(grid32, lightcone32, flat_ellipsoid32):
-    assert calc.metric_tail_fraction(lightcone32.data.sigma) < 1e-6
-    assert calc.metric_tail_fraction(flat_ellipsoid32.data.sigma) < 1e-6
+def per_column_basis(transform, lmax, lmin):
+    """(values, d_theta, d_phi) of the real harmonic basis, one outer product
+    of a Legendre row and an azimuthal factor per column."""
+    phi = 2.0 * np.pi * np.arange(transform.n_phi) / transform.n_phi
+    norm = 1.0 / np.sqrt(np.pi)
+    columns = []
+    for ell, m, kind in real_mode_table(lmax, lmin):
+        p, dp = (t[ell - m] for t in legendre_functions(m, lmax, transform.x))
+        if m == 0:
+            azim, dazim = np.full_like(phi, 1.0 / np.sqrt(2.0 * np.pi)), 0.0 * phi
+        elif kind == 0:
+            azim, dazim = np.cos(m * phi) * norm, -m * np.sin(m * phi) * norm
+        else:
+            azim, dazim = np.sin(m * phi) * norm, m * np.cos(m * phi) * norm
+        columns.append([np.outer(a, b).ravel()
+                        for a, b in ((p, azim), (dp, azim), (p, dazim))])
+    return [np.stack(c, axis=1) for c in zip(*columns)]
+
+
+def test_basis_matches_per_column_formula():
+    grid = sphere_grid(16, 32)
+    for lmin in (0, 1):
+        basis = grid.basis(15, lmin)
+        for got, want in zip((basis.values, basis.d_theta, basis.d_phi),
+                             per_column_basis(grid.transform, 15, lmin)):
+            assert np.array_equal(got, want)
+    with pytest.raises(InvalidFieldError):
+        grid.basis(-1)
 
 
 def test_field_validation(grid32):

@@ -117,6 +117,10 @@ def test_cli_rejects_malformed_arguments(argv):
     ["optimal", "{data}", "--hessian", "-2"],
     ["optimal", "{data}", "--l-max-tau", "0"],
     ["plotdata", "shi-tam", "--samples", "0", "--outdir", "{tmp}"],
+    ["plotdata", "mass-curves", "--r-range", "2.5:20:0", "--outdir", "{tmp}"],
+    ["plotdata", "shi-tam", "--r0", "0", "--outdir", "{tmp}"],
+    ["plotdata", "shi-tam", "--r-far", "inf", "--outdir", "{tmp}"],
+    ["optimal", "{data}", "--weyl-tol", "inf"],
 ])
 def test_cli_out_of_range_inputs_are_input_errors(argv, schw_file, tmp_path,
                                                   capsys):

@@ -7,8 +7,7 @@ from qlm.errors import ConvergenceError, DomainError
 from qlm.radial import (RadialFunction, RadialInitialData, adm_energy_radial,
                         e_of_r, flat_radial_data, hyperboloid_height,
                         hyperboloid_radial_data, jang_residual_radial,
-                        shi_tam_flow, shi_tam_positivity_instance,
-                        solve_jang_radial)
+                        shi_tam_flow, solve_jang_radial)
 
 BYLY_M1_R4 = 4.0 * (1.0 - np.sqrt(0.5))
 
@@ -125,22 +124,22 @@ def test_adm_flux_quadrature():
 
 
 def test_shi_tam_positivity_instances():
+    # A round boundary of radius r0 and mean curvature k has Brown-York value
+    # r0 - k r0^2 / 2, and its quasi-spherical extension has boundary lapse
+    # (2 / r0) / k. For k <= 2 / r0 (the Shi-Tam hypothesis) the chain
+    # Brown-York = e(r0) >= e(r_max) >= ADM energy >= 0 holds.
     r0 = 4.0
-    flat = shi_tam_positivity_instance(r0, 2.0 / r0, r_max=256.0)
-    assert abs(flat.brown_york) < 1e-12
-    assert abs(flat.adm_energy) < 1e-12
-
-    k = (2.0 / r0) * np.sqrt(1.0 - 2.0 / r0)
-    schw = shi_tam_positivity_instance(r0, k)
-    assert abs(schw.brown_york - BYLY_M1_R4) < 1e-12
-    assert abs(schw.adm_energy - 1.0) < 1e-12
-    assert schw.brown_york >= schw.e_start >= schw.e_end >= 0.0
-
-    mild = shi_tam_positivity_instance(r0, 1.9 / r0)
-    assert mild.brown_york > 0.0
-    assert mild.adm_energy > 0.0
-
-    outside = shi_tam_positivity_instance(r0, 2.2 / r0)
-    assert not outside.within_hypotheses
-    assert outside.brown_york < 0.0
-    assert outside.adm_energy < 0.0
+    k_schw = (2.0 / r0) * np.sqrt(1.0 - 2.0 / r0)
+    values = {}
+    for k in (2.0 / r0, k_schw, 1.9 / r0, 2.2 / r0):
+        state = shi_tam_flow(r0, (2.0 / r0) / k)
+        brown_york = r0 - k * r0 * r0 / 2.0
+        e_start, e_end = state.mass_aspect(np.array([r0, state.r_max]))
+        assert abs(e_start - brown_york) < 1e-12
+        if k <= 2.0 / r0:
+            assert brown_york >= e_end >= state.energy >= -1e-12
+        values[k] = brown_york, state.energy
+    assert np.max(np.abs(values[2.0 / r0])) < 1e-12
+    assert_allclose(values[k_schw], (BYLY_M1_R4, 1.0), rtol=0, atol=1e-12)
+    assert min(values[1.9 / r0]) > 0.0
+    assert max(values[2.2 / r0]) < 0.0
