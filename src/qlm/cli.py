@@ -4,7 +4,7 @@ Subcommands: compute, catalog, optimal, validate, plotdata. Exit codes:
 0 success, 1 validation failure, 2 input error, 3 solver failure. The
 QLM_THREADS environment variable (default 1) pins the linear-algebra thread
 count before the numerical stack is imported, which keeps outputs
-byte-reproducible.
+byte-reproducible for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import sys
 # Bounds of --resolution n, for an n x 2n grid. n = 9 is the coarsest grid
 # whose harmonic support n - 1 holds the Weyl solver's full degree floor of 8
 # (embedding.WeylSolver.l_cap); coarser data files still solve, with the cap
-# clipped to n - 1, but the CLI does not generate them. Peak memory grows as
-# n^4 with the dense harmonic basis at the degree cap: a sharp light-cone cut
-# peaks at 763 MiB at n = 48, so n = 72 needs about 3.9 GiB.
+# clipped to n - 1, but the CLI does not generate them. Peak memory is set by
+# the (3M)^2 Gauss-Newton normal matrix at the final degree L, M = (L+1)^2 - 1:
+# a sharp light-cone cut peaks at 234 MiB at n = 48 and 281 MiB at n = 72, and
+# a solve at the n = 72 degree cap (L = 48) would need about 0.6 GiB.
 RESOLUTION_MIN = 9
 RESOLUTION_MAX = 72
 

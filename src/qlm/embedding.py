@@ -124,11 +124,8 @@ class WeylSolver:
     # -- residual machinery -------------------------------------------------
 
     def _fields(self, basis, coeffs):
-        shape = (self.grid.n_theta, self.grid.n_phi)
-        x = (basis.values @ coeffs.T).T.reshape((3,) + shape)
-        xt = (basis.d_theta @ coeffs.T).T.reshape((3,) + shape)
-        xp = (basis.d_phi @ coeffs.T).T.reshape((3,) + shape)
-        return x, xt, xp
+        return (basis.synthesize(coeffs), basis.synthesize(coeffs, "theta"),
+                basis.synthesize(coeffs, "phi"))
 
     def _residual(self, xt, xp, target):
         r_tt = (xt * xt).sum(0) - target[0]
@@ -145,52 +142,55 @@ class WeylSolver:
     def _gradient(self, basis, xt, xp, res):
         """Exact J^T r for the weighted least-squares functional."""
         r_tt, r_tp, r_pp = res
-        u_tt = (self._w_tt * r_tt).ravel()
-        u_tp = (self._w_tp * r_tp).ravel()
-        u_pp = (self._w_pp * r_pp).ravel()
-        n_modes = basis.n_modes
-        g = np.empty((3, n_modes))
-        for i in range(3):
-            a = 2.0 * u_tt * xt[i].ravel() + u_tp * xp[i].ravel()
-            b = u_tp * xt[i].ravel() + 2.0 * u_pp * xp[i].ravel()
-            g[i] = basis.d_theta.T @ a + basis.d_phi.T @ b
-        return g.ravel()
+        u_tt = self._w_tt * r_tt
+        u_tp = self._w_tp * r_tp
+        u_pp = self._w_pp * r_pp
+        a = 2.0 * u_tt * xt + u_tp * xp
+        b = u_tp * xt + 2.0 * u_pp * xp
+        return (basis.project(a, "theta") + basis.project(b, "phi")).ravel()
 
     def _normal_matrix(self, basis, x, xt, xp):
-        """Gauss-Newton normal matrix with rotation-gauge penalty rows."""
-        n_modes = basis.n_modes
-        n_nodes = basis.values.shape[0]
-        m3 = 3 * n_modes
-        jtj = np.zeros((m3, m3))
-        s_tt = np.sqrt(self._w_tt).ravel()[:, None]
-        s_tp = np.sqrt(self._w_tp).ravel()[:, None]
-        s_pp = np.sqrt(self._w_pp).ravel()[:, None]
-        block = np.empty((n_nodes, m3))
-        for comp, scale in (("tt", s_tt), ("tp", s_tp), ("pp", s_pp)):
-            for i in range(3):
-                dt = xt[i].ravel()[:, None]
-                dp = xp[i].ravel()[:, None]
-                cols = slice(i * n_modes, (i + 1) * n_modes)
-                if comp == "tt":
-                    block[:, cols] = scale * (2.0 * dt * basis.d_theta)
-                elif comp == "pp":
-                    block[:, cols] = scale * (2.0 * dp * basis.d_phi)
-                else:
-                    block[:, cols] = scale * (dt * basis.d_phi + dp * basis.d_theta)
-            jtj += block.T @ block
+        """Gauss-Newton normal matrix with rotation-gauge penalty rows.
 
-        # Rotation gauge: penalize motion along e_k x X.
-        gamma2 = np.trace(jtj) / m3
-        for k in range(3):
-            rot = np.cross(np.eye(3)[k], x.reshape(3, -1).T).T
-            row = np.concatenate([basis.analyze(rot[i]) for i in range(3)])
-            jtj += gamma2 * np.outer(row, row)
+        Block (i, j) couples coordinate functions i and j. It is the weighted
+        Gram of the basis derivatives with theta-theta weight A_ij,
+        phi-phi weight B_ij and cross weights C_ij, C_ji, where
+        A_ij = 4 w_tt xt_i xt_j + w_tp xp_i xp_j,
+        B_ij = 4 w_pp xp_i xp_j + w_tp xt_i xt_j and C_ij = w_tp xp_i xt_j.
+        The upper blocks are assembled and the lower ones mirrored.
+        """
+        n_modes = basis.n_modes
+        blocks = [slice(i * n_modes, (i + 1) * n_modes) for i in range(3)]
+        jtj = np.empty((3 * n_modes, 3 * n_modes))
+        w_tt, w_tp, w_pp = self._w_tt, self._w_tp, self._w_pp
+        for i in range(3):
+            for j in range(i, 3):
+                block = basis.derivative_gram(
+                    4.0 * w_tt * xt[i] * xt[j] + w_tp * xp[i] * xp[j],
+                    w_tp * xp[i] * xt[j],
+                    w_tp * xt[i] * xp[j],
+                    4.0 * w_pp * xp[i] * xp[j] + w_tp * xt[i] * xt[j])
+                jtj[blocks[i], blocks[j]] = block
+                if j > i:
+                    jtj[blocks[j], blocks[i]] = block.T
+
+        # Rotation gauge: penalize motion along e_k x X, as one rank-3
+        # update added a block of rows at a time.
+        gamma2 = np.trace(jtj) / jtj.shape[0]
+        rot = np.stack([np.cross(e[:, None, None], x, axis=0) for e in np.eye(3)])
+        rows = basis.analyze(rot).reshape(3, -1)
+        for part in blocks:
+            jtj[part] += (gamma2 * rows[:, part]).T @ rows
         return jtj
 
     def _factorize(self, jtj):
-        d = jtj.diagonal()
-        a = jtj + np.diag(np.full_like(d, 1e-14 * d.max()))
-        return scipy.linalg.cho_factor(a, lower=True, check_finite=False)
+        """Cholesky factor of ``jtj`` plus a 1e-14 relative diagonal shift,
+        computed in the memory of ``jtj``."""
+        diagonal = np.diag_indices_from(jtj)
+        jtj[diagonal] += 1e-14 * jtj[diagonal].max()
+        # jtj.T is the Fortran-ordered view of the same symmetric matrix.
+        return scipy.linalg.cho_factor(jtj.T, lower=False, overwrite_a=True,
+                                       check_finite=False)
 
     # -- Gauss-Newton core ---------------------------------------------------
 
@@ -206,8 +206,9 @@ class WeylSolver:
             if rel < tol:
                 return coeffs, x, rel, True
             if not stale:
-                jtj = self._normal_matrix(basis, x, xt, xp)
-                self._factor = self._factorize(jtj)
+                self._factor = None     # free the old factor first
+                self._factor = self._factorize(
+                    self._normal_matrix(basis, x, xt, xp))
                 self._factor_l = basis.lmax
             g = self._gradient(basis, xt, xp, res)
             step = scipy.linalg.cho_solve(self._factor, g, check_finite=False)
@@ -262,7 +263,7 @@ class WeylSolver:
         l_now = min(L_START, self.l_cap)
         basis = self.grid.basis(l_now, lmin=1)
         radius = np.sqrt(calc.area(sigma_hat) / (4.0 * np.pi))
-        coeffs = np.stack([basis.analyze(radius * c) for c in grid.unit_sphere])
+        coeffs = basis.analyze(radius * grid.unit_sphere)
         round_components = np.stack(Metric2.round(grid, radius).components())
 
         t = 0.0

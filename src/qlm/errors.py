@@ -11,7 +11,15 @@ __all__ = ["QlmError", "GridMismatchError", "InvalidFieldError",
 
 
 class QlmError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    Carries ``node`` (theta-index, phi-index) of the worst offending grid
+    point when that is meaningful, else None.
+    """
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class GridMismatchError(QlmError, ValueError):
@@ -27,15 +35,7 @@ class InvalidMetricError(QlmError, ValueError):
 
 
 class PreconditionError(QlmError, ValueError):
-    """An operation's mathematical hypothesis fails on the given data.
-
-    Carries ``node`` (theta-index, phi-index) of the worst offending grid
-    point when that is meaningful.
-    """
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
+    """An operation's mathematical hypothesis fails on the given data."""
 
 
 class AdmissibilityError(PreconditionError):

@@ -23,6 +23,8 @@ of a one-form rank 1, and each d/dtheta raises the rank by one).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InvalidFieldError
@@ -170,12 +172,22 @@ def real_mode_table(lmax, lmin=0):
 
 
 class RealHarmonicBasis:
-    """Dense real spherical-harmonic basis sampled on a grid.
+    """Real spherical-harmonic basis on a grid, kept in factored form.
 
-    Rows are grid nodes (theta-major), columns the modes of
-    :func:`real_mode_table`. The basis is orthonormal for the round measure,
-    so analysis is a weighted transpose product. Three matrices are kept:
-    values, d/dtheta, d/dphi.
+    Column c is the mode ``modes[c]`` = (l, m, kind) of
+    :func:`real_mode_table`, sampled on the grid nodes (theta-major). It is
+    the product of a colatitude row P_l^m(theta) and an azimuthal function
+    E_q(phi), q = ``azimuth[c]``: q = 0 is the constant of m = 0, q = 2m - 1
+    is cos(m phi) and q = 2m is sin(m phi). The basis keeps only these
+    factors: the rows ``p`` and their theta-derivatives ``dp``, each
+    n_theta x M, and the functions ``azim`` and their phi-derivatives
+    ``dazim``, each n_phi x (2 lmax + 1). Synthesis, projection and weighted
+    Gram matrices contract with them one axis at a time and never form an
+    n_nodes x M matrix. The basis is orthonormal for the round measure, so
+    analysis is a weighted projection.
+
+    The node matrices ``values``, ``d_theta`` and ``d_phi`` are built on
+    first access only; the package never reads them.
     """
 
     def __init__(self, transform, lmax, lmin=0):
@@ -192,45 +204,37 @@ class RealHarmonicBasis:
         self.lmin = lmin
         self.transform = transform
         self.modes = real_mode_table(lmax, lmin)
-        n_theta, n_phi = transform.n_theta, transform.n_phi
 
-        # Each column is P_l^m(theta) times an azimuthal factor: stack the
-        # colatitude rows (n_theta x M) and the azimuthal rows (n_phi x M),
-        # then form every node value in one broadcast product.
         tables = [legendre_functions(m, lmax, transform.x)
                   for m in range(lmax + 1)]
-        p = np.stack([tables[m][0][ell - m] for ell, m, _ in self.modes], axis=1)
-        dp = np.stack([tables[m][1][ell - m] for ell, m, _ in self.modes], axis=1)
+        self.p = np.stack([tables[m][0][ell - m] for ell, m, _ in self.modes], axis=1)
+        self.dp = np.stack([tables[m][1][ell - m] for ell, m, _ in self.modes], axis=1)
         _, m, kind = np.array(self.modes).T
-        sine = kind == 1
-        m_phi = m * (2.0 * np.pi * np.arange(n_phi) / n_phi)[:, None]
+        self.azimuth = np.where(m == 0, 0, 2 * m - 1 + kind)
+
+        # Azimuthal function q has order (q + 1) // 2; odd q is the cosine.
+        q = np.arange(2 * lmax + 1)
+        order = (q + 1) // 2
+        m_phi = order * (2.0 * np.pi * np.arange(transform.n_phi) / transform.n_phi)[:, None]
         cos, sin = np.cos(m_phi), np.sin(m_phi)
         inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-        azim = np.where(sine, sin, cos) * inv_sqrt_pi
-        dazim = np.where(sine, m * cos, -m * sin) * inv_sqrt_pi
-        azim[:, m == 0] = 1.0 / np.sqrt(2.0 * np.pi)
-        dazim[:, m == 0] = 0.0
+        cosine = q % 2 == 1
+        self.azim = np.where(cosine, cos, sin) * inv_sqrt_pi
+        self.dazim = np.where(cosine, -order * sin, order * cos) * inv_sqrt_pi
+        self.azim[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
+        self.dazim[:, 0] = 0.0
 
-        def on_nodes(colatitude, azimuthal):
-            return (colatitude[:, None] * azimuthal).reshape(n_theta * n_phi, -1)
-        self.values = on_nodes(p, azim)
-        self.d_theta = on_nodes(dp, azim)
-        self.d_phi = on_nodes(p, dazim)
-
-        self.node_weights = np.repeat(transform.w, n_phi) * (2.0 * np.pi / n_phi)
+        # Columns grouped by azimuthal function, each group in degree order.
+        self._by_azimuth = np.argsort(self.azimuth, kind="stable")
+        self._group_starts = np.searchsorted(self.azimuth[self._by_azimuth], q)
+        self._columns = np.split(self._by_azimuth, self._group_starts[1:])
+        self._factors = {None: (self.p, self.azim),
+                         "theta": (self.dp, self.azim),
+                         "phi": (self.p, self.dazim)}
 
     @property
     def n_modes(self):
         return len(self.modes)
-
-    def synthesize(self, coeffs):
-        """Field values (2D) from a real coefficient vector."""
-        t = self.transform
-        return (self.values @ coeffs).reshape(t.n_theta, t.n_phi)
-
-    def analyze(self, values):
-        """Round-measure projection of a field onto the basis."""
-        return self.values.T @ (self.node_weights * values.ravel())
 
     @property
     def degrees(self):
@@ -242,3 +246,77 @@ class RealHarmonicBasis:
             raise InvalidFieldError(f"mode (l={ell}, m={m}, kind={kind}) is not "
                                     f"in the degree {self.lmin}..{self.lmax} basis")
         return self.modes.index((ell, m, kind))
+
+    def synthesize(self, coeffs, derivative=None):
+        """Field values (..., n_theta, n_phi) from coefficients (..., M).
+
+        ``derivative`` is None for the field itself, "theta" or "phi" for
+        that partial derivative of it.
+        """
+        colatitude, azimuthal = self._factors[derivative]
+        order = self._by_azimuth
+        rows = np.add.reduceat(colatitude[:, order] * coeffs[..., None, order],
+                               self._group_starts, axis=-1)
+        return rows @ azimuthal.T
+
+    def project(self, values, derivative=None):
+        """Transpose of :meth:`synthesize`: node sums of each column times
+        ``values`` (..., n_theta, n_phi), with no quadrature weights."""
+        colatitude, azimuthal = self._factors[derivative]
+        rows = values @ azimuthal
+        return (colatitude * rows[..., self.azimuth]).sum(axis=-2)
+
+    def analyze(self, values):
+        """Round-measure projection of fields (..., n_theta, n_phi) onto the basis."""
+        t = self.transform
+        weights = t.w[:, None] * (2.0 * np.pi / t.n_phi)
+        return self.project(weights * values)
+
+    def derivative_gram(self, c_tt, c_tp, c_pt, c_pp):
+        """Weighted Gram matrix of the basis derivatives, M x M.
+
+        Entry (a, b) is the node sum of sum_(i, j) c_ij D_i[a] D_j[b] over
+        i, j in (theta, phi), where D_theta and D_phi are the columns'
+        partial derivatives and each weight c_ij is an (n_theta, n_phi)
+        field. The azimuthal sums are taken once per colatitude row; then
+        the rows of each azimuthal function q take one matrix product with
+        the Legendre rows of their own columns.
+        """
+        azimuthal = (self.azim, self.dazim)
+        n_azim = self.azim.shape[1]
+        # sums[q, r, i, j, t] = sum over phi of azim_i[q] * c_ij[t] * azim_j[r],
+        # with azim_theta = azim and azim_phi = dazim.
+        sums = np.empty((n_azim, n_azim, 2, 2, self.transform.n_theta))
+        for i, j, weight in ((0, 0, c_tt), (0, 1, c_tp), (1, 0, c_pt), (1, 1, c_pp)):
+            sums[:, :, i, j] = np.moveaxis(
+                azimuthal[i].T @ (weight[:, :, None] * azimuthal[j]), 0, -1)
+        # right[b, j, t]: Legendre factor of column b in channel j;
+        # left[a, (i, j, t)]: that of column a in channel i, once per j.
+        right = np.stack([self.dp.T, self.p.T], axis=1)
+        left = np.repeat(right[:, :, None], 2, axis=2).reshape(self.n_modes, -1)
+        out = np.empty((self.n_modes, self.n_modes))
+        for q, cols in enumerate(self._columns):
+            terms = sums[q].take(self.azimuth, axis=0)
+            terms *= right[:, None]
+            out[cols] = left[cols] @ terms.reshape(self.n_modes, -1).T
+        return out
+
+    def _on_nodes(self, colatitude, azimuthal):
+        t = self.transform
+        return (colatitude[:, None] * azimuthal[:, self.azimuth]).reshape(
+            t.n_theta * t.n_phi, -1)
+
+    @cached_property
+    def values(self):
+        """Dense node matrix, n_nodes x M."""
+        return self._on_nodes(self.p, self.azim)
+
+    @cached_property
+    def d_theta(self):
+        """Dense node matrix of d/dtheta, n_nodes x M."""
+        return self._on_nodes(self.dp, self.azim)
+
+    @cached_property
+    def d_phi(self):
+        """Dense node matrix of d/dphi, n_nodes x M."""
+        return self._on_nodes(self.p, self.dazim)

@@ -63,7 +63,7 @@ class _EnergyModel:
         self.data = data
         self.basis = basis
         self.workspace = workspace
-        self._proj = calc.area_weights(data.sigma).ravel()
+        self._proj = calc.area_weights(data.sigma)
 
     def tau(self, coeffs):
         return TimeFunction(ScalarField(self.data.grid,
@@ -81,9 +81,9 @@ class _EnergyModel:
         tau = TimeFunction(ScalarField(self.data.grid, tau_values))
         residual = euler_lagrange_residual(self.data, tau,
                                            workspace=self.workspace)
-        weighted = self._proj * residual.values.ravel()
-        grad = (self.basis.values.T @ weighted) / (8.0 * np.pi)
-        norm = float(np.sqrt(np.sum(weighted * residual.values.ravel())))
+        weighted = self._proj * residual.values
+        grad = self.basis.project(weighted) / (8.0 * np.pi)
+        norm = float(np.sqrt(np.sum(weighted * residual.values)))
         return grad, norm
 
     def hessian_seed(self):
@@ -238,10 +238,8 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
             f"hessian requested away from a critical point "
             f"(residual {res0:.2e} > {residual_tol:.1e})")
 
-    shape = (grid.n_theta, grid.n_phi)
     cols = []
-    for j in range(n_modes):
-        direction = basis.values[:, j].reshape(shape)
+    for direction in basis.synthesize(np.eye(basis.n_modes)[:n_modes]):
         g_plus, _ = model.gradient_at(tau_star.tau.values + FD_STEP * direction)
         g_minus, _ = model.gradient_at(tau_star.tau.values - FD_STEP * direction)
         cols.append((g_plus - g_minus)[:n_modes] / (2.0 * FD_STEP))

@@ -163,3 +163,41 @@ def fd_jang_residual_3d(data, f, fp, r, theta, h=1e-4):
             p_ij = p_diag[i] if i == j else 0.0
             residual += inv_part * (hess[i, j] / w - p_ij)
     return residual
+
+
+def dense_normal_matrix(basis, x, xt, xp, w_tt, w_tp, w_pp):
+    """Gauss-Newton normal matrix of the Weyl residual from dense node matrices.
+
+    The weighted Jacobian is built column block by column block from the
+    n_nodes x M matrices ``basis.d_theta``/``d_phi``, and the rotation-gauge
+    rows e_k x X are projected with ``basis.values``; ``x`` = 0 gives the
+    matrix without gauge rows.
+    """
+    n_modes = basis.n_modes
+    n_nodes = basis.values.shape[0]
+    m3 = 3 * n_modes
+    jtj = np.zeros((m3, m3))
+    block = np.empty((n_nodes, m3))
+    for comp, w in (("tt", w_tt), ("tp", w_tp), ("pp", w_pp)):
+        scale = np.sqrt(w).ravel()[:, None]
+        for i in range(3):
+            dt = xt[i].ravel()[:, None]
+            dp = xp[i].ravel()[:, None]
+            cols = slice(i * n_modes, (i + 1) * n_modes)
+            if comp == "tt":
+                block[:, cols] = scale * (2.0 * dt * basis.d_theta)
+            elif comp == "pp":
+                block[:, cols] = scale * (2.0 * dp * basis.d_phi)
+            else:
+                block[:, cols] = scale * (dt * basis.d_phi + dp * basis.d_theta)
+        jtj += block.T @ block
+
+    t = basis.transform
+    node_weights = np.repeat(t.w, t.n_phi) * (2.0 * np.pi / t.n_phi)
+    gamma2 = np.trace(jtj) / m3
+    for k in range(3):
+        rot = np.cross(np.eye(3)[k], x.reshape(3, -1).T).T
+        row = np.concatenate([basis.values.T @ (node_weights * rot[i])
+                              for i in range(3)])
+        jtj += gamma2 * np.outer(row, row)
+    return jtj

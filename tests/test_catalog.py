@@ -9,7 +9,9 @@ from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          mass_relation_check, schwarzschild_sphere_data,
                          symmetric_sphere_data)
 from qlm.errors import DomainError, GenerationError
+from qlm.fields import Metric2
 from qlm.functionals import byly_mass, hawking_mass, wang_yau_energy
+from qlm.grid import sphere_grid
 
 CUT_BUMP = {(2, 0, 0): 0.12, (1, 0, 0): 0.05}
 
@@ -120,6 +122,20 @@ def test_imcf_monotonicity_tables(grid32):
     perturbed = masses(lambda r: 1.0 - 2.0 / r - eps / r ** 2)
     assert_allclose(perturbed, 1.0 + eps / (2.0 * rs), atol=1e-10)
     assert np.all(np.diff(perturbed) < 0.0)
+
+
+def test_dumbbell_curvature_error_carries_node():
+    # The surface of revolution r = 1 + 0.6 cos 2theta has a waist of
+    # negative Gauss curvature.
+    grid = sphere_grid(16, 32)
+    th, _ = grid.nodes
+    r = 1.0 + 0.6 * np.cos(2.0 * th)
+    dr = -1.2 * np.sin(2.0 * th)
+    sigma = Metric2(grid, r * r + dr * dr, np.zeros(grid.shape),
+                    (r * np.sin(th)) ** 2)
+    with pytest.raises(GenerationError) as err:
+        calc.require_positive_curvature(sigma, "dumbbell", GenerationError)
+    assert calc.gauss_curvature(sigma).values[err.value.node] <= 0.0
 
 
 def test_generation_errors(grid32):

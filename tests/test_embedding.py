@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import ellipsoid_total_mean_curvature
+from oracles import dense_normal_matrix, ellipsoid_total_mean_curvature
 from qlm import calculus as calc
 from qlm import embedding
 from qlm.embedding import (EmbeddingR3, WeylSolver, extract_geometry,
@@ -282,3 +282,43 @@ def test_degenerate_tangent_plane(grid32):
     flat = EmbeddingR3(grid32, np.ones((3,) + grid32.shape), 0.0, 1)
     with pytest.raises(GeometryError):
         extract_geometry(flat)
+
+
+def _relative(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_theta", [16, 24])
+@pytest.mark.parametrize("lmin", [0, 1])
+def test_factored_kernels_match_dense_products(n_theta, lmin):
+    grid = sphere_grid(n_theta, 2 * n_theta)
+    solver = WeylSolver(grid)
+    th, ph = grid.nodes
+    # No symmetry axis: the azimuthal sums see every order.
+    radius = (1.0 + 0.1 * np.sin(th) * np.cos(ph)
+              + 0.08 * np.sin(th) ** 2 * np.sin(2.0 * ph) + 0.05 * np.cos(th))
+    surface = radius * grid.unit_sphere
+    target = np.stack(Metric2.round(grid, 1.0).components())
+    weights = (solver._w_tt, solver._w_tp, solver._w_pp)
+    for lmax in range(max(lmin, 1), solver.l_cap + 1):
+        basis = grid.basis(lmax, lmin)
+        flat = surface.reshape(3, -1)
+        dense_coeffs = (basis.values.T @ (grid.quad_weights.ravel() * flat).T).T
+        coeffs = basis.analyze(surface)
+        assert _relative(coeffs, dense_coeffs) < 1e-13
+        fields = solver._fields(basis, coeffs)
+        for got, dense in zip(fields, (basis.values, basis.d_theta, basis.d_phi)):
+            assert _relative(got, (dense @ coeffs.T).T.reshape(surface.shape)) < 1e-13
+        x, xt, xp = fields
+
+        res = solver._residual(xt, xp, target)
+        u_tt, u_tp, u_pp = (w * r for w, r in zip(weights, res))
+        a = (2.0 * u_tt * xt + u_tp * xp).reshape(3, -1)
+        b = (u_tp * xt + 2.0 * u_pp * xp).reshape(3, -1)
+        dense_grad = (basis.d_theta.T @ a.T + basis.d_phi.T @ b.T).T.ravel()
+        assert _relative(solver._gradient(basis, xt, xp, res), dense_grad) < 1e-13
+
+        # x = 0 zeroes the rotation-gauge rows.
+        for gauge in (np.zeros_like(x), x):
+            assert _relative(solver._normal_matrix(basis, gauge, xt, xp),
+                             dense_normal_matrix(basis, gauge, xt, xp, *weights)) < 1e-13

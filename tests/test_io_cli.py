@@ -354,3 +354,26 @@ def test_cli_import_leaves_numpy_unloaded():
          "import sys, qlm.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_compute_output_is_byte_reproducible_per_thread_count(tmp_path):
+    # QLM_THREADS sets the BLAS thread count only where the environment does
+    # not, so the BLAS variables are removed. Output is reproducible for a
+    # fixed thread count; 1 and 2 threads may differ in the last digits.
+    src = os.path.dirname(os.path.dirname(qlm.__file__))
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    run = [sys.executable, "-c",
+           "import sys; from qlm.cli import main; sys.exit(main(sys.argv[1:]))"]
+    cut = str(tmp_path / "cut.json")
+    subprocess.run(run + ["catalog", "lightcone", "--bump", "0.1",
+                          "--resolution", "16", "--out", cut],
+                   env=env, check=True, capture_output=True)
+    for threads in ("1", "2"):
+        outputs = [subprocess.run(run + ["compute", cut, "--which", "byly"],
+                                  env=dict(env, QLM_THREADS=threads),
+                                  check=True, capture_output=True).stdout
+                   for _ in range(2)]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["which"] == "byly"
