@@ -419,7 +419,7 @@ def main(argv=None):
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.diagnostics:
             safe = {k: v for k, v in exc.diagnostics.items()
-                    if isinstance(v, (int, float, str))}
+                    if isinstance(v, (int, float, str, list))}
             print(f"diagnostics: {json.dumps(safe, sort_keys=True)}",
                   file=sys.stderr)
         return 3

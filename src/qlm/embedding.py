@@ -78,6 +78,8 @@ L_START = 10              # harmonic degree a cold continuation starts from
 CONTINUATION_STEP = 0.25  # first continuation step, halved on stalls at the cap
 MIN_STEP = 1e-4           # the continuation gives up below this step
 MAX_GN_ITER = 25          # Gauss-Newton steps per continuation target
+FLOOR_GAIN = 1e-3         # a fresh-factor step gaining less than this share
+                          # of the objective has reached the truncation floor
 
 
 def _max_rel(res, target):
@@ -105,6 +107,12 @@ class WeylSolver:
     cap ``l_cap``, 2/3 of the grid degree (at least 8), leaves an
     anti-aliasing margin, and never exceeds what the grid resolves: degree
     n_theta - 1 in colatitude and order n_phi / 2 - 1 in longitude.
+
+    Gauss-Newton stops at a truncation floor: once a step taken with a fresh
+    factorization lowers the objective by less than ``FLOOR_GAIN`` of itself,
+    the degree cannot do better and the continuation decides what comes
+    next. At the cap, a continuation step is halved only while each halving
+    at least halves the residual floor; otherwise the solve fails at once.
     """
 
     def __init__(self, grid, tol=1e-8):
@@ -195,7 +203,14 @@ class WeylSolver:
     # -- Gauss-Newton core ---------------------------------------------------
 
     def _gauss_newton(self, coeffs, basis, target, tol, allow_stale=True):
-        """Iterate to ``tol``; returns (coeffs, coordinates x, rel, ok)."""
+        """Iterate to ``tol``; returns (coeffs, coordinates x, rel, ok).
+
+        Ends early, with ``ok`` false unless ``tol`` is met, when six
+        dampings of a step all fail or when a step taken with a fresh factor
+        gains less than ``FLOOR_GAIN`` of the objective (the truncation
+        floor). With a stale factor, a step gaining less than 99% triggers
+        a refactorization instead.
+        """
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
@@ -231,10 +246,13 @@ class WeylSolver:
                     continue
                 return coeffs, x, rel, rel < tol
             slow = obj2 > 0.01 * obj
+            flat = obj2 > (1.0 - FLOOR_GAIN) * obj
             coeffs, x, xt, xp, res, obj = trial, x2, xt2, xp2, res2, obj2
             rel = _max_rel(res, target)
             if stale and slow:
                 stale = False
+            elif flat:
+                return coeffs, x, rel, rel < tol
         return coeffs, x, rel, rel < tol
 
     def solve(self, sigma_hat, check_curvature=True):
@@ -242,8 +260,12 @@ class WeylSolver:
 
         Gauss-Newton from the previous solution first; if that misses
         ``tol``, continuation from the area-matched round sphere, growing
-        the degree by 8 on each stall up to the cap. A stall at the cap raises
-        :class:`ConvergenceError` carrying the last iterate.
+        the degree by 8 on each stall up to the cap. A stall at the cap halves
+        the continuation step; it raises :class:`ConvergenceError` when the
+        step falls below ``MIN_STEP`` or when a halving does not at least
+        halve the residual floor. The error carries the last iterate and the
+        floor history (``diagnostics["floors"]``, one residual per stall at
+        the cap).
         """
         grid = self.grid
         if sigma_hat.grid is not grid:
@@ -268,6 +290,7 @@ class WeylSolver:
 
         t = 0.0
         step = CONTINUATION_STEP
+        floors = []
         self._factor = None
         while t < 1.0:
             t_next = min(1.0, t + step)
@@ -288,8 +311,10 @@ class WeylSolver:
                 coeffs = grown
                 self._factor = None
             else:
+                floors.append(float(rel))
                 step *= 0.5
-                if step < MIN_STEP:
+                if step < MIN_STEP or (len(floors) > 1
+                                       and floors[-1] > 0.5 * floors[-2]):
                     at_cap = (t_next >= 1.0 and rel < 1e-3)
                     why = (f"residual floor {rel:.3e} at the degree cap "
                            f"L={self.l_cap} exceeds tolerance {self.tol:.1e}"
@@ -298,7 +323,8 @@ class WeylSolver:
                            f"(residual {rel:.3e}, step {step:.1e})")
                     raise ConvergenceError("embedding " + why, diagnostics={
                         "last_iterate": self._package(basis, trial, x, rel),
-                        "t": t, "step": step, "l_cap": self.l_cap})
+                        "t": t, "step": step, "l_cap": self.l_cap,
+                        "floors": floors})
         # The loop ends only on a step accepted at t = 1, so x is X(coeffs).
         return self._package(basis, coeffs, x, rel)
 

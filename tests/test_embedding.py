@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from oracles import dense_normal_matrix, ellipsoid_total_mean_curvature
 from qlm import calculus as calc
 from qlm import embedding
+from qlm.catalog import surface_data_from_embedding
 from qlm.embedding import (EmbeddingR3, WeylSolver, extract_geometry,
                            graph_embedding)
 from qlm.errors import ConvergenceError, GeometryError, PreconditionError
@@ -257,7 +260,9 @@ def test_continuation_stall_carries_last_iterate(grid32, lightcone32):
     assert isinstance(iterate, EmbeddingR3)
 
 
-def test_warm_solves_reuse_the_factorization(grid32, monkeypatch):
+@pytest.fixture
+def cho_calls(monkeypatch):
+    """List that grows by one entry per Cholesky factorization."""
     import scipy.linalg
 
     calls = []
@@ -267,15 +272,56 @@ def test_warm_solves_reuse_the_factorization(grid32, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    return calls
+
+
+def spot_cut_data(n_theta, height, steepness):
+    """Surface data of the light-cone cut t = |x| = f on an n_theta grid,
+    with f = exp(height exp(steepness (cos(theta) - 1)))."""
+    grid = sphere_grid(n_theta, 2 * n_theta)
+    f = np.exp(height * np.exp(steepness * (np.cos(grid.nodes[0]) - 1.0)))
+    data, _ = surface_data_from_embedding(
+        grid, np.concatenate([f[None], f * grid.unit_sphere]))
+    return data
+
+
+def test_warm_solves_reuse_the_factorization(grid32, cho_calls):
     solver = WeylSolver(grid32, tol=1e-10)
     factorizations = []
     for axes in ((1.0, 1.0, 1.2), (1.0, 1.0, 1.2), (1.0, 1.0, 1.201)):
-        before = len(calls)
+        before = len(cho_calls)
         assert solver.solve(ellipsoid_metric(grid32, axes)).residual < 1e-10
-        factorizations.append(len(calls) - before)
+        factorizations.append(len(cho_calls) - before)
     # A cold continuation, then a warm start already at its target, then a
     # nearby metric whose Gauss-Newton steps reuse the stale factor.
     assert factorizations == [9, 0, 0]
+
+
+def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):
+    # The stream opener cut needs degree 21, the cap at n=32. Each degree
+    # below it ends at its truncation floor instead of refactoring for steps
+    # that gain only rounding noise (18 factorizations without the stop).
+    sigma = spot_cut_data(32, 0.1, 4.0).sigma
+    emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
+    assert emb.l_max == 21
+    assert emb.residual < 1e-9
+    assert len(cho_calls) == 14
+
+
+def test_stall_at_the_degree_cap_fails_fast(cho_calls):
+    # At n=24 the spot cut's residual floor at the cap L=16 is 2.4e-6 and
+    # does not move when the continuation step halves: the solve must give
+    # up after one halving, not twelve (111 factorizations without the
+    # fail-fast).
+    sigma = spot_cut_data(24, 0.2, 6.0).sigma
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError) as err:
+        WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
+    seconds = time.perf_counter() - start
+    floors = err.value.diagnostics["floors"]
+    assert len(floors) >= 2 and floors[-1] > 0.5 * floors[-2]
+    assert len(cho_calls) < 30
+    assert seconds < 3.0
 
 
 def test_degenerate_tangent_plane(grid32):

@@ -13,6 +13,7 @@ from qlm.cli import main
 from qlm.datafile import load_surface_data, save_surface_data
 from qlm.errors import InputFileError
 from qlm.grid import sphere_grid
+from test_embedding import spot_cut_data
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,18 @@ def test_cli_maps_linear_algebra_failure_to_solver_exit(monkeypatch, capsys,
     monkeypatch.setattr(scipy.linalg, "cho_factor", singular)
     assert main(["compute", str(path), "--which", "byly"]) == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_prints_the_floor_history_of_a_failed_solve(tmp_path, capsys):
+    # The n=24 spot cut stalls at its degree cap (see test_embedding).
+    path = tmp_path / "spot.json"
+    save_surface_data(path, spot_cut_data(24, 0.2, 6.0))
+    assert main(["compute", str(path), "--which", "byly",
+                 "--weyl-tol", "1e-10"]) == 3
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line.startswith("diagnostics: ")
+    floors = json.loads(line[len("diagnostics: "):])["floors"]
+    assert len(floors) >= 2 and all(f > 1e-10 for f in floors)
 
 
 def test_cli_compute_rejects_zero_h(tmp_path, schw_file):
