@@ -104,6 +104,17 @@ def _axes(text):
     return axes
 
 
+def _schwarzschild_sphere(m, r, grid):
+    """Schwarzschild sphere data; the horizon r = 2m (|H| = 0) is refused."""
+    from .catalog import SphericalSphereSpec, schwarzschild_sphere_data
+    from .errors import QlmError
+
+    sphere = schwarzschild_sphere_data(SphericalSphereSpec(m, r), grid)
+    if sphere.data is None:
+        raise QlmError("horizon sphere has |H| = 0; no usable data")
+    return sphere
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -149,19 +160,14 @@ def cmd_compute(args):
 
 
 def cmd_catalog(args):
-    from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
-                          minkowski_surface_data, schwarzschild_sphere_data)
+    from .catalog import MinkowskiSurfaceSpec, minkowski_surface_data
     from .datafile import save_surface_data
-    from .errors import QlmError
     from .grid import sphere_grid
 
     grid = sphere_grid(args.resolution, 2 * args.resolution)
     refs = {}
     if args.kind == "schwarzschild":
-        sphere = schwarzschild_sphere_data(
-            SphericalSphereSpec(args.m, args.r), grid)
-        if sphere.data is None:
-            raise QlmError("horizon sphere has |H| = 0; no usable data")
+        sphere = _schwarzschild_sphere(args.m, args.r, grid)
         data, tau = sphere.data, None
         refs = {k: float(v) for k, v in sphere.refs.items()}
         meta = {"kind": "schwarzschild", "m": args.m, "r": args.r}
@@ -272,7 +278,6 @@ def cmd_plotdata(args):
 
     os.makedirs(args.outdir, exist_ok=True)
     if args.kind == "mass-curves":
-        from .catalog import SphericalSphereSpec, schwarzschild_sphere_data
         from .functionals import EnergyWorkspace, byly_mass, hawking_mass
         from .grid import sphere_grid
 
@@ -281,8 +286,7 @@ def cmd_plotdata(args):
         workspace = EnergyWorkspace(grid)
         rows = ["r,hawking,byly"]
         for r in np.linspace(lo, hi, num):
-            sphere = schwarzschild_sphere_data(
-                SphericalSphereSpec(args.m, float(r)), grid)
+            sphere = _schwarzschild_sphere(args.m, float(r), grid)
             rows.append(f"{_fmt(r)},{_fmt(hawking_mass(sphere.data))},"
                         f"{_fmt(byly_mass(sphere.data, workspace=workspace))}")
         path = os.path.join(args.outdir, "mass_curves.csv")
@@ -371,7 +375,7 @@ def build_parser():
                    help="start from this amplitude of the first zonal mode")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--l-max-tau", type=_positive_int, default=16)
-    p.add_argument("--max-iter", type=int, default=200)
+    p.add_argument("--max-iter", type=_positive_int, default=200)
     p.add_argument("--weyl-tol", type=_positive_float, default=1e-10)
     p.add_argument("--hessian", type=int, default=0,
                    help="append a reduced-Hessian spectrum of this many modes")
@@ -419,7 +423,7 @@ def main(argv=None):
         print(f"solver failure: {exc}", file=sys.stderr)
         if isinstance(exc, ConvergenceError) and exc.diagnostics:
             safe = {k: v for k, v in exc.diagnostics.items()
-                    if isinstance(v, (int, float, str, list))}
+                    if isinstance(v, (int, float, str))}
             print(f"diagnostics: {json.dumps(safe, sort_keys=True)}",
                   file=sys.stderr)
         return 3

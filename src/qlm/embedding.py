@@ -2,9 +2,9 @@
 
 ``WeylSolver`` finds coordinate functions X with <dX, dX> = sigma_hat for a
 positive-curvature metric by Gauss-Newton iteration on real harmonic
-coefficients, with continuation from an area-matched round metric. The
-rigid-motion kernel is removed by excluding the degree-0 modes (translations)
-and penalizing the three infinitesimal rotations of the current iterate.
+coefficients, started from an area-matched round sphere. The rigid-motion
+kernel is removed by excluding the degree-0 modes (translations) and
+penalizing the three infinitesimal rotations of the current iterate.
 
 ``extract_geometry`` recovers outward normal, second fundamental form, mean
 and principal curvatures from an embedding, and ``graph_embedding`` lifts an
@@ -74,10 +74,8 @@ class EmbeddedGeometry:
     lambda2: ScalarField
 
 
-L_START = 10              # harmonic degree a cold continuation starts from
-CONTINUATION_STEP = 0.25  # first continuation step, halved on stalls at the cap
-MIN_STEP = 1e-4           # the continuation gives up below this step
-MAX_GN_ITER = 25          # Gauss-Newton steps per continuation target
+L_START = 10              # harmonic degree a cold solve starts from
+MAX_GN_ITER = 25          # Gauss-Newton steps per degree
 FLOOR_GAIN = 1e-3         # a fresh-factor step gaining less than this share
                           # of the objective has reached the truncation floor
 
@@ -103,16 +101,15 @@ class WeylSolver:
     are immutable), but give each concurrent solve its own instance.
 
     ``tol`` is the relative max-node isometry residual to reach. Cold solves
-    start at degree ``L_START`` with step ``CONTINUATION_STEP``; the degree
-    cap ``l_cap``, 2/3 of the grid degree (at least 8), leaves an
-    anti-aliasing margin, and never exceeds what the grid resolves: degree
-    n_theta - 1 in colatitude and order n_phi / 2 - 1 in longitude.
+    start at degree ``L_START``; the degree cap ``l_cap``, 2/3 of the grid
+    degree (at least 8), leaves an anti-aliasing margin, and never exceeds
+    what the grid resolves: degree n_theta - 1 in colatitude and order
+    n_phi / 2 - 1 in longitude.
 
     Gauss-Newton stops at a truncation floor: once a step taken with a fresh
     factorization lowers the objective by less than ``FLOOR_GAIN`` of itself,
-    the degree cannot do better and the continuation decides what comes
-    next. At the cap, a continuation step is halved only while each halving
-    at least halves the residual floor; otherwise the solve fails at once.
+    the degree cannot do better. A floor below the cap grows the degree; a
+    floor at the cap fails the solve at once.
     """
 
     def __init__(self, grid, tol=1e-8):
@@ -202,21 +199,21 @@ class WeylSolver:
 
     # -- Gauss-Newton core ---------------------------------------------------
 
-    def _gauss_newton(self, coeffs, basis, target, tol, allow_stale=True):
+    def _gauss_newton(self, coeffs, basis, target, tol):
         """Iterate to ``tol``; returns (coeffs, coordinates x, rel, ok).
 
         Ends early, with ``ok`` false unless ``tol`` is met, when six
         dampings of a step all fail or when a step taken with a fresh factor
         gains less than ``FLOOR_GAIN`` of the objective (the truncation
         floor). With a stale factor, a step gaining less than 99% triggers
-        a refactorization instead.
+        a refactorization instead. A factor is stale when one of this
+        degree is held from an earlier solve.
         """
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
         rel = _max_rel(res, target)
-        stale = (allow_stale and self._factor is not None
-                 and self._factor_l == basis.lmax)
+        stale = self._factor is not None and self._factor_l == basis.lmax
         for _ in range(MAX_GN_ITER):
             if rel < tol:
                 return coeffs, x, rel, True
@@ -259,13 +256,11 @@ class WeylSolver:
         """Solve <dX, dX> = sigma_hat; returns an :class:`EmbeddingR3`.
 
         Gauss-Newton from the previous solution first; if that misses
-        ``tol``, continuation from the area-matched round sphere, growing
-        the degree by 8 on each stall up to the cap. A stall at the cap halves
-        the continuation step; it raises :class:`ConvergenceError` when the
-        step falls below ``MIN_STEP`` or when a halving does not at least
-        halve the residual floor. The error carries the last iterate and the
-        floor history (``diagnostics["floors"]``, one residual per stall at
-        the cap).
+        ``tol``, Gauss-Newton from the area-matched round sphere, growing
+        the degree by 8 on each floor up to the cap. A floor at the cap
+        raises :class:`ConvergenceError` carrying the last iterate
+        (``diagnostics["last_iterate"]``), the cap (``"l_cap"``) and the
+        residual floor (``"floor"``).
         """
         grid = self.grid
         if sigma_hat.grid is not grid:
@@ -273,60 +268,35 @@ class WeylSolver:
         if check_curvature:
             calc.require_positive_curvature(
                 sigma_hat, "isometric embedding target", PreconditionError)
-        target_full = np.stack(sigma_hat.components())
+        target = np.stack(sigma_hat.components())
 
         if self._warm is not None:
             basis, warm = self._warm
             coeffs, x, rel, ok = self._gauss_newton(
-                warm, basis, target_full, self.tol)
+                warm, basis, target, self.tol)
             if ok:
                 return self._package(basis, coeffs, x, rel)
 
-        l_now = min(L_START, self.l_cap)
-        basis = self.grid.basis(l_now, lmin=1)
+        basis = grid.basis(min(L_START, self.l_cap), lmin=1)
         radius = np.sqrt(calc.area(sigma_hat) / (4.0 * np.pi))
         coeffs = basis.analyze(radius * grid.unit_sphere)
-        round_components = np.stack(Metric2.round(grid, radius).components())
-
-        t = 0.0
-        step = CONTINUATION_STEP
-        floors = []
         self._factor = None
-        while t < 1.0:
-            t_next = min(1.0, t + step)
-            target = (1.0 - t_next) * round_components + t_next * target_full
-            # Mid-path solves only have to hand the next step a usable start.
-            tol_here = self.tol if t_next >= 1.0 else max(10.0 * self.tol, 1e-5)
-            trial, x, rel, ok = self._gauss_newton(
-                coeffs, basis, target, tol_here, allow_stale=False)
+        while True:
+            coeffs, x, rel, ok = self._gauss_newton(
+                coeffs, basis, target, self.tol)
             if ok:
-                coeffs, t = trial, t_next
-            elif l_now < self.l_cap:
-                # Truncation-limited rather than diverging: enlarge the basis
-                # and retry the same continuation target.
-                l_now = min(l_now + 8, self.l_cap)
-                basis = self.grid.basis(l_now, lmin=1)
-                grown = np.zeros((3, basis.n_modes))
-                grown[:, :trial.shape[1]] = trial
-                coeffs = grown
-                self._factor = None
-            else:
-                floors.append(float(rel))
-                step *= 0.5
-                if step < MIN_STEP or (len(floors) > 1
-                                       and floors[-1] > 0.5 * floors[-2]):
-                    at_cap = (t_next >= 1.0 and rel < 1e-3)
-                    why = (f"residual floor {rel:.3e} at the degree cap "
-                           f"L={self.l_cap} exceeds tolerance {self.tol:.1e}"
-                           if at_cap else
-                           f"continuation stalled at t={t:.4f} "
-                           f"(residual {rel:.3e}, step {step:.1e})")
-                    raise ConvergenceError("embedding " + why, diagnostics={
-                        "last_iterate": self._package(basis, trial, x, rel),
-                        "t": t, "step": step, "l_cap": self.l_cap,
-                        "floors": floors})
-        # The loop ends only on a step accepted at t = 1, so x is X(coeffs).
-        return self._package(basis, coeffs, x, rel)
+                return self._package(basis, coeffs, x, rel)
+            if basis.lmax == self.l_cap:
+                raise ConvergenceError(
+                    f"embedding residual floor {rel:.3e} at the degree cap "
+                    f"L={self.l_cap} exceeds tolerance {self.tol:.1e}",
+                    diagnostics={
+                        "last_iterate": self._package(basis, coeffs, x, rel),
+                        "l_cap": self.l_cap, "floor": float(rel)})
+            # Truncation-limited: enlarge the basis, keeping the coefficients.
+            basis = grid.basis(min(basis.lmax + 8, self.l_cap), lmin=1)
+            coeffs = np.pad(coeffs,
+                            ((0, 0), (0, basis.n_modes - coeffs.shape[1])))
 
     def _package(self, basis, coeffs, x, rel):
         self._warm = (basis, coeffs.copy())

@@ -58,8 +58,8 @@ class ConvergenceError(QlmError, RuntimeError):
     """An iterative solver failed to reach its tolerance.
 
     ``diagnostics`` is a free-form dict; embedding solvers attach the last
-    iterate under ``diagnostics["last_iterate"]`` and the residual floor of
-    each stall at the degree cap under ``diagnostics["floors"]``.
+    iterate under ``diagnostics["last_iterate"]``, the degree cap under
+    ``"l_cap"`` and the residual floor at that cap under ``"floor"``.
     """
 
     def __init__(self, message, diagnostics=None):

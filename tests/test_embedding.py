@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from oracles import dense_normal_matrix, ellipsoid_total_mean_curvature
 from qlm import calculus as calc
 from qlm import embedding
-from qlm.catalog import surface_data_from_embedding
+from qlm.catalog import (MinkowskiSurfaceSpec, minkowski_surface_data,
+                         surface_data_from_embedding)
 from qlm.embedding import (EmbeddingR3, WeylSolver, extract_geometry,
                            graph_embedding)
 from qlm.errors import ConvergenceError, GeometryError, PreconditionError
@@ -198,9 +199,8 @@ def test_rigid_motion_equivariance(grid32):
 def test_herglotz_uniqueness(grid32, lightcone32, monkeypatch):
     sigma = lightcone32.data.sigma
     emb1 = WeylSolver(grid32).solve(sigma)
-    # Same metric from an independent continuation path.
+    # Same metric from an independent degree path.
     with monkeypatch.context() as patch:
-        patch.setattr(embedding, "CONTINUATION_STEP", 0.11)
         patch.setattr(embedding, "L_START", 6)
         emb2 = WeylSolver(grid32).solve(sigma)
     d_int_h, _, max_dh, rms = herglotz_report(sigma, emb1, emb2)
@@ -251,13 +251,16 @@ def test_nonconvex_precondition_names_node(grid32):
     assert err.value.node is not None
 
 
-def test_continuation_stall_carries_last_iterate(grid32, lightcone32):
+def test_stall_at_the_cap_carries_last_iterate(grid32, lightcone32):
     solver = WeylSolver(grid32, tol=1e-12)
     solver.l_cap = 2
     with pytest.raises(ConvergenceError) as err:
         solver.solve(lightcone32.data.sigma)
-    iterate = err.value.diagnostics.get("last_iterate")
+    diagnostics = err.value.diagnostics
+    iterate = diagnostics["last_iterate"]
     assert isinstance(iterate, EmbeddingR3)
+    assert iterate.l_max == diagnostics["l_cap"] == 2
+    assert diagnostics["floor"] == iterate.residual > 1e-12
 
 
 @pytest.fixture
@@ -292,35 +295,50 @@ def test_warm_solves_reuse_the_factorization(grid32, cho_calls):
         before = len(cho_calls)
         assert solver.solve(ellipsoid_metric(grid32, axes)).residual < 1e-10
         factorizations.append(len(cho_calls) - before)
-    # A cold continuation, then a warm start already at its target, then a
-    # nearby metric whose Gauss-Newton steps reuse the stale factor.
-    assert factorizations == [9, 0, 0]
+    # A cold solve, then a warm start already at its target, then a nearby
+    # metric whose Gauss-Newton steps reuse the stale factor.
+    assert factorizations == [4, 0, 0]
 
 
 def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):
     # The stream opener cut needs degree 21, the cap at n=32. Each degree
     # below it ends at its truncation floor instead of refactoring for steps
-    # that gain only rounding noise (18 factorizations without the stop).
+    # that gain only rounding noise.
     sigma = spot_cut_data(32, 0.1, 4.0).sigma
     emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
     assert emb.l_max == 21
     assert emb.residual < 1e-9
-    assert len(cho_calls) == 14
+    assert len(cho_calls) == 8
+
+
+@pytest.mark.parametrize("spec, l_max, factorizations", [
+    (MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 3.0)), 10, 6),
+    (MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 0.35)), 10, 6),
+    (MinkowskiSurfaceSpec("lightcone_cut", log_modes={(2, 0, 0): 0.4}), 21, 10),
+])
+def test_cold_solve_reaches_far_from_round_metrics(grid32, cho_calls, spec,
+                                                    l_max, factorizations):
+    # Far from round, yet reached by Gauss-Newton from the round sphere of
+    # the same area, growing only the degree.
+    sigma = minkowski_surface_data(spec, grid32).data.sigma
+    emb = WeylSolver(grid32, tol=1e-10).solve(sigma)
+    assert emb.residual < 1e-10
+    assert emb.l_max == l_max
+    assert len(cho_calls) <= factorizations
 
 
 def test_stall_at_the_degree_cap_fails_fast(cho_calls):
-    # At n=24 the spot cut's residual floor at the cap L=16 is 2.4e-6 and
-    # does not move when the continuation step halves: the solve must give
-    # up after one halving, not twelve (111 factorizations without the
-    # fail-fast).
+    # At n=24 the spot cut's residual floor at the cap L=16 is far above
+    # 1e-10: the solve must give up at the first floor there.
     sigma = spot_cut_data(24, 0.2, 6.0).sigma
     start = time.perf_counter()
     with pytest.raises(ConvergenceError) as err:
         WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
     seconds = time.perf_counter() - start
-    floors = err.value.diagnostics["floors"]
-    assert len(floors) >= 2 and floors[-1] > 0.5 * floors[-2]
-    assert len(cho_calls) < 30
+    diagnostics = err.value.diagnostics
+    assert diagnostics["l_cap"] == diagnostics["last_iterate"].l_max == 16
+    assert diagnostics["floor"] > 1e-10
+    assert len(cho_calls) <= 10
     assert seconds < 3.0
 
 

@@ -117,6 +117,7 @@ def test_cli_rejects_malformed_arguments(argv):
     ["catalog", "lightcone", "--bump-l", "-1", "--out", "{tmp}/c.json"],
     ["optimal", "{data}", "--hessian", "-2"],
     ["optimal", "{data}", "--l-max-tau", "0"],
+    ["optimal", "{data}", "--max-iter", "-3"],
     ["plotdata", "shi-tam", "--samples", "0", "--outdir", "{tmp}"],
     ["plotdata", "mass-curves", "--r-range", "2.5:20:0", "--outdir", "{tmp}"],
     ["plotdata", "shi-tam", "--r0", "0", "--outdir", "{tmp}"],
@@ -173,7 +174,7 @@ def test_cli_maps_linear_algebra_failure_to_solver_exit(monkeypatch, capsys,
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_cli_prints_the_floor_history_of_a_failed_solve(tmp_path, capsys):
+def test_cli_prints_the_floor_of_a_failed_solve(tmp_path, capsys):
     # The n=24 spot cut stalls at its degree cap (see test_embedding).
     path = tmp_path / "spot.json"
     save_surface_data(path, spot_cut_data(24, 0.2, 6.0))
@@ -181,8 +182,8 @@ def test_cli_prints_the_floor_history_of_a_failed_solve(tmp_path, capsys):
                  "--weyl-tol", "1e-10"]) == 3
     line = capsys.readouterr().err.splitlines()[-1]
     assert line.startswith("diagnostics: ")
-    floors = json.loads(line[len("diagnostics: "):])["floors"]
-    assert len(floors) >= 2 and all(f > 1e-10 for f in floors)
+    diagnostics = json.loads(line[len("diagnostics: "):])
+    assert diagnostics["l_cap"] == 16 and diagnostics["floor"] > 1e-10
 
 
 def test_cli_compute_rejects_zero_h(tmp_path, schw_file):
@@ -310,6 +311,16 @@ def test_cli_plotdata_mass_curves(tmp_path, capsys):
     assert np.max(np.abs(values[:, 1] - 1.0)) < 1e-7
     expected_byly = values[:, 0] * (1 - np.sqrt(1 - 2 / values[:, 0]))
     assert np.max(np.abs(values[:, 2] - expected_byly)) < 1e-6
+
+
+def test_cli_plotdata_mass_curves_refuses_the_horizon(tmp_path, capsys):
+    # The first sample of 2:20:4 lies on the horizon r = 2m.
+    code = main(["plotdata", "mass-curves", "--m", "1",
+                 "--r-range", "2:20:4", "--resolution", "16",
+                 "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "horizon sphere has |H| = 0" in capsys.readouterr().err
+    assert not (tmp_path / "mass_curves.csv").exists()
 
 
 def test_cli_plotdata_shi_tam(tmp_path, capsys):
