@@ -36,8 +36,8 @@ _EXPORTS = {
                     "gauge_functional", "hawking_mass", "mass_density",
                     "euler_lagrange_residual", "wang_yau_energy"),
     "grid": ("SphereGrid", "sphere_grid"),
-    "optimal": ("OptimalSolveOptions", "OptimalSolveResult", "comparison_check",
-                "hessian_check", "solve_optimal"),
+    "optimal": ("OptimalSolveResult", "comparison_check", "hessian_check",
+                "solve_optimal"),
     "radial": ("QuasiSphericalState", "RadialInitialData", "adm_energy_radial",
                "e_of_r", "jang_residual_radial", "shi_tam_flow",
                "solve_jang_radial"),

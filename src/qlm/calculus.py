@@ -24,6 +24,7 @@ __all__ = [
     "gauss_curvature",
     "metric_add_dtau",
     "form_dot",
+    "raise_form",
     "raise_indices",
     "covariant_hessian",
     "require_positive_curvature",
@@ -53,7 +54,8 @@ def gradient(sigma, f):
     return OneForm(grid, t.dtheta(f.values, 0), t.dphi(f.values))
 
 
-def _raise_form(sigma, a_theta, a_phi):
+def raise_form(sigma, a_theta, a_phi):
+    """Covector (a_theta, a_phi) raised by ``sigma``: (v^theta, v^phi)."""
     itt, itp, ipp = sigma.inverse_components()
     v_t = itt * a_theta + itp * a_phi
     v_p = itp * a_theta + ipp * a_phi
@@ -68,7 +70,7 @@ def coordinate_laplacian(sigma, tangents):
     gives the k Laplacians in one pass.
     """
     t = sigma.grid.transform
-    v_t, v_p = _raise_form(sigma, *tangents)
+    v_t, v_p = raise_form(sigma, *tangents)
     sq = sigma.sqrt_det()
     # Contravariant density sqrt(det) * v^theta carries theta-rank 2.
     return (t.dtheta(sq * v_t, 2) + t.dphi(sq * v_p)) / sq
@@ -158,7 +160,7 @@ def metric_add_dtau(sigma, dtau):
 def hodge_star(sigma, omega):
     """Rotation of a one-form by 90 degrees in the oriented metric sense."""
     grid = same_grid(sigma, omega)
-    v_t, v_p = _raise_form(sigma, omega.a_theta, omega.a_phi)
+    v_t, v_p = raise_form(sigma, omega.a_theta, omega.a_phi)
     sq = sigma.sqrt_det()
     return OneForm(grid, -sq * v_p, sq * v_t)
 
@@ -166,7 +168,7 @@ def hodge_star(sigma, omega):
 def form_dot(sigma, omega, nu):
     """Pointwise pairing sigma^{ab} omega_a nu_b (raw array)."""
     same_grid(sigma, omega, nu)
-    v_t, v_p = _raise_form(sigma, omega.a_theta, omega.a_phi)
+    v_t, v_p = raise_form(sigma, omega.a_theta, omega.a_phi)
     return v_t * nu.a_theta + v_p * nu.a_phi
 
 

@@ -204,10 +204,9 @@ def surface_data_from_embedding(grid, chart):
 
     lap = calc.coordinate_laplacian(sigma, (tan_t, tan_p))
     # Remove the (numerically tiny) tangential part of the position Laplacian.
-    itt, itp, ipp = sigma.inverse_components()
-    ht = _mink_dot(lap, tan_t)
-    hp = _mink_dot(lap, tan_p)
-    h_vec = lap - ((itt * ht + itp * hp) * tan_t + (itp * ht + ipp * hp) * tan_p)
+    h_t, h_p = calc.raise_form(sigma, _mink_dot(lap, tan_t),
+                               _mink_dot(lap, tan_p))
+    h_vec = lap - (h_t * tan_t + h_p * tan_p)
 
     h_sq = _mink_dot(h_vec, h_vec)
     if np.any(h_sq <= 0.0):
@@ -220,9 +219,8 @@ def surface_data_from_embedding(grid, chart):
     # Future timelike unit normal from the static observer, made normal.
     u = np.zeros_like(chart)
     u[0] = 1.0
-    ut = -tan_t[0]
-    up = -tan_p[0]
-    u_perp = u - ((itt * ut + itp * up) * tan_t + (itp * ut + ipp * up) * tan_p)
+    u_t, u_p = calc.raise_form(sigma, -tan_t[0], -tan_p[0])
+    u_perp = u - (u_t * tan_t + u_p * tan_p)
     n_sq = _mink_dot(u_perp, u_perp)
     if np.any(n_sq >= 0.0):
         raise GenerationError("static observer projection is not timelike")

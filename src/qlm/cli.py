@@ -87,6 +87,14 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    """argparse type: an integer that must be at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _resolution(text):
     """argparse type: a grid resolution within the memory bound."""
     n = int(text)
@@ -113,6 +121,16 @@ def _schwarzschild_sphere(m, r, grid):
     if sphere.data is None:
         raise QlmError("horizon sphere has |H| = 0; no usable data")
     return sphere
+
+
+def _require_converged(result, tol):
+    """Refuse a critical-point solve that stopped at its iteration cap."""
+    from .errors import ConvergenceError
+
+    if not result.converged:
+        raise ConvergenceError(
+            f"optimizer hit the iteration cap at residual "
+            f"{result.el_residual_norm:.3e} (tol {tol:.1e})")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +225,7 @@ def cmd_optimal(args):
     import numpy as np
     from .datafile import load_surface_data
     from .functionals import EnergyWorkspace, TimeFunction
-    from .optimal import OptimalSolveOptions, hessian_check, solve_optimal
+    from .optimal import hessian_check, solve_optimal
 
     loaded = load_surface_data(args.input)
     data = loaded.data
@@ -219,16 +237,9 @@ def cmd_optimal(args):
     else:
         tau0 = TimeFunction.zero(grid)
     workspace = EnergyWorkspace(grid, weyl_tol=args.weyl_tol)
-    result = solve_optimal(
-        data, tau0,
-        OptimalSolveOptions(tol=args.tol, l_max_tau=args.l_max_tau,
-                            max_iter=args.max_iter),
-        workspace=workspace)
-    if not result.converged:
-        print(f"solver failure: optimizer hit the iteration cap at residual "
-              f"{result.el_residual_norm:.3e} (tol {args.tol:.1e})",
-              file=sys.stderr)
-        return 3
+    result = solve_optimal(data, tau0, workspace=workspace, tol=args.tol,
+                           l_max_tau=args.l_max_tau, max_iter=args.max_iter)
+    _require_converged(result, args.tol)
     report = {
         "input": args.input,
         "converged": result.converged,
@@ -252,12 +263,11 @@ def cmd_validate(args):
     from .validate import check_ids, results_to_csv, run_validation
 
     only = None
-    if args.only:
+    if args.only is not None:
         only = [s.strip() for s in args.only.split(",") if s.strip()]
-        known = set(check_ids())
-        unknown = [s for s in only if s not in known]
-        if unknown:
-            print(f"unknown check ids: {', '.join(unknown)}", file=sys.stderr)
+        if not only or set(only) - set(check_ids()):
+            print(f"--only must name known check ids, got {args.only!r}",
+                  file=sys.stderr)
             return 2
     results = run_validation(resolution=args.resolution, only=only,
                              seed=args.seed)
@@ -303,7 +313,7 @@ def cmd_plotdata(args):
         from .errors import InputFileError
         from .functionals import (EnergyWorkspace, TimeFunction,
                                   wang_yau_energy)
-        from .optimal import OptimalSolveOptions, solve_optimal
+        from .optimal import solve_optimal
 
         if args.input is None:
             raise InputFileError("plotdata stability needs --input")
@@ -312,9 +322,8 @@ def cmd_plotdata(args):
         grid = data.grid
         workspace = EnergyWorkspace(grid, weyl_tol=1e-11)
         tau0 = loaded.tau or TimeFunction.zero(grid)
-        result = solve_optimal(data, tau0,
-                               OptimalSolveOptions(tol=args.tol),
-                               workspace=workspace)
+        result = solve_optimal(data, tau0, workspace=workspace, tol=args.tol)
+        _require_converged(result, args.tol)
         direction = TimeFunction.from_modes(grid, {(2, 0, 0): 1.0})
         rows = ["s,energy"]
         for s in np.linspace(-args.span, args.span, args.samples):
@@ -385,7 +394,7 @@ def build_parser():
     p = sub.add_parser("validate", help="run the acceptance checks")
     p.add_argument("--resolution", **resolution)
     p.add_argument("--only", help="comma-separated check ids")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_nonnegative_int, default=42)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(func=cmd_validate)
 
@@ -398,7 +407,7 @@ def build_parser():
     p.add_argument("--E", type=float, default=1.0)
     p.add_argument("--r-far", type=_positive_float, default=1000.0)
     p.add_argument("--samples", type=_positive_int, default=33)
-    p.add_argument("--span", type=float, default=0.05)
+    p.add_argument("--span", type=_positive_float, default=0.05)
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--input", help="surface-data file (stability)")
     p.add_argument("--resolution", **resolution)

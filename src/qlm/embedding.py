@@ -31,6 +31,7 @@ __all__ = [
     "EmbeddedGeometry",
     "GraphEmbedding",
     "WeylSolver",
+    "admissible_graph_metric",
     "extract_geometry",
     "graph_embedding",
 ]
@@ -362,6 +363,14 @@ class GraphEmbedding:
     lorentz_residual: float
 
 
+def admissible_graph_metric(sigma, dtau):
+    """Graph metric sigma + dtau (x) dtau; AdmissibilityError unless convex."""
+    sigma_hat = calc.metric_add_dtau(sigma, dtau)
+    calc.require_positive_curvature(
+        sigma_hat, "time function (graph metric)", AdmissibilityError)
+    return sigma_hat
+
+
 def graph_embedding(sigma, tau, solver):
     """Lift (sigma, tau) to X = (tau, X_space) in Minkowski space.
 
@@ -373,9 +382,7 @@ def graph_embedding(sigma, tau, solver):
     """
     grid = same_grid(sigma, tau)
     dtau = calc.gradient(sigma, tau)
-    sigma_hat = calc.metric_add_dtau(sigma, dtau)
-    calc.require_positive_curvature(
-        sigma_hat, "time function (graph metric)", AdmissibilityError)
+    sigma_hat = admissible_graph_metric(sigma, dtau)
     emb = solver.solve(sigma_hat, check_curvature=False)
 
     lap_t = calc.divergence(sigma, dtau).values

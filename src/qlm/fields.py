@@ -37,8 +37,8 @@ def _frozen(grid, values, name):
 
 
 def worst_node(values):
-    """(i, j) index of the smallest entry, for error messages."""
-    return np.unravel_index(np.argmin(values), values.shape)
+    """(i, j) index of the smallest entry, in Python ints, for messages."""
+    return tuple(map(int, np.unravel_index(np.argmin(values), values.shape)))
 
 
 def same_grid(*objs):

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as calc
-from .embedding import WeylSolver, extract_geometry, graph_embedding
-from .errors import AdmissibilityError, GeometryError, PreconditionError
+from .embedding import (WeylSolver, admissible_graph_metric, extract_geometry,
+                        graph_embedding)
+from .errors import GeometryError, PreconditionError
 from .fields import Metric2, OneForm, ScalarField, same_grid, worst_node
 
 __all__ = [
@@ -108,10 +109,7 @@ class EnergyBreakdown:
 
 def check_admissible(sigma, tau):
     """Graph metric of tau, raising AdmissibilityError if it loses convexity."""
-    sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau.tau))
-    calc.require_positive_curvature(
-        sigma_hat, "time function (graph metric)", AdmissibilityError)
-    return sigma_hat
+    return admissible_graph_metric(sigma, calc.gradient(sigma, tau.tau))
 
 
 def _digest(*arrays):

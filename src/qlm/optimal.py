@@ -23,27 +23,16 @@ from .functionals import (TimeFunction, euler_lagrange_residual, mass_density,
                           wang_yau_energy)
 
 __all__ = [
-    "OptimalSolveOptions",
     "OptimalSolveResult",
     "solve_optimal",
     "HessianReport",
     "hessian_check",
-    "ComparisonReport",
     "comparison_check",
 ]
 
 INITIAL_TRUST = 0.05    # trust radius of the first step
 MIN_TRUST = 1e-6        # the descent gives up below this radius
 FD_STEP = 1e-4          # central-difference step of hessian_check
-
-
-@dataclass
-class OptimalSolveOptions:
-    """Termination and trust-region tuning for :func:`solve_optimal`."""
-
-    tol: float = 1e-6            # L2 norm of the Euler-Lagrange residual
-    max_iter: int = 200
-    l_max_tau: int = 16
 
 
 @dataclass(frozen=True)
@@ -56,51 +45,13 @@ class OptimalSolveResult:
     energy_path: tuple = ()
 
 
-class _EnergyModel:
-    """Energy and exact coefficient-space gradient over a tau basis."""
-
-    def __init__(self, data, basis, workspace):
-        self.data = data
-        self.basis = basis
-        self.workspace = workspace
-        self._proj = calc.area_weights(data.sigma)
-
-    def tau(self, coeffs):
-        return TimeFunction(ScalarField(self.data.grid,
-                                        self.basis.synthesize(coeffs)))
-
-    def energy(self, coeffs):
-        return wang_yau_energy(self.data, self.tau(coeffs),
-                               workspace=self.workspace).energy
-
-    def gradient(self, coeffs):
-        return self.gradient_at(self.basis.synthesize(coeffs))
-
-    def gradient_at(self, tau_values):
-        """(coefficient-space gradient, L2 residual norm) at tau = tau_values."""
-        tau = TimeFunction(ScalarField(self.data.grid, tau_values))
-        residual = euler_lagrange_residual(self.data, tau,
-                                           workspace=self.workspace)
-        weighted = self._proj * residual.values
-        grad = self.basis.project(weighted) / (8.0 * np.pi)
-        norm = float(np.sqrt(np.sum(weighted * residual.values)))
-        return grad, norm
-
-    def hessian_seed(self):
-        """Leading-order diagonal curvature model.
-
-        The stiff part of the second variation is the boost-angle term,
-        roughly (Laplacian delta-tau)^2 / (8 pi |H|); on a near-round metric of
-        areal radius r this gives l^2 (l+1)^2 / (8 pi r^2 <|H|>) per
-        orthonormal mode. Only the l-scaling matters: the secant updates
-        refine the rest.
-        """
-        area = calc.area(self.data.sigma)
-        r_sq = area / (4.0 * np.pi)
-        inv_h = float(np.mean(1.0 / self.data.h_norm.values))
-        ells = self.basis.degrees
-        seed = (ells * (ells + 1.0)) ** 2 * inv_h / (8.0 * np.pi * r_sq)
-        return np.maximum(seed, seed[0] * 0.05)
+def _gradient(data, basis, tau, workspace):
+    """(Coefficient-space gradient, L2 residual norm) of the energy at tau."""
+    residual = euler_lagrange_residual(data, tau, workspace=workspace)
+    weighted = calc.area_weights(data.sigma) * residual.values
+    grad = basis.project(weighted) / (8.0 * np.pi)
+    norm = float(np.sqrt(np.sum(weighted * residual.values)))
+    return grad, norm
 
 
 def _trust_step(b_mat, grad, radius):
@@ -111,12 +62,10 @@ def _trust_step(b_mat, grad, radius):
     def step_norm(lam):
         return np.sqrt(np.sum((g_rot / (evals + lam)) ** 2))
 
-    lam = max(0.0, -evals.min() + 1e-12)
     if evals.min() > 0 and step_norm(0.0) <= radius:
-        p = -g_rot / evals
-        return evecs @ p
-    lo = lam
-    hi = lam + max(1.0, np.abs(g_rot).max() / radius)
+        return evecs @ (-g_rot / evals)
+    lo = max(0.0, -evals.min() + 1e-12)
+    hi = lo + max(1.0, np.abs(g_rot).max() / radius)
     while step_norm(hi) > radius:
         hi *= 2.0
     for _ in range(80):
@@ -125,46 +74,58 @@ def _trust_step(b_mat, grad, radius):
             lo = mid
         else:
             hi = mid
-    p = -g_rot / (evals + hi)
-    return evecs @ p
+    return evecs @ (-g_rot / (evals + hi))
 
 
-def solve_optimal(data, tau0, opts=None, *, workspace):
+def solve_optimal(data, tau0, *, workspace, tol=1e-6, max_iter=200,
+                  l_max_tau=16):
     """Descend the energy to a critical time function.
 
-    Starts from ``tau0`` (projected onto the optimization basis, mean mode
-    dropped) and terminates when the L2 norm of the Euler-Lagrange residual
-    falls below ``opts.tol``. Iterates whose graph metric loses convexity are
-    rejected and the trust region shrunk; collapse of the trust region below
-    ``MIN_TRUST`` raises :class:`ConvergenceError` with diagnostics. The
-    stability of the result is checked separately, by :func:`hessian_check`.
-    Every energy and residual evaluation goes through ``workspace``.
+    Starts from ``tau0`` projected onto the degrees 1..``l_max_tau`` (clipped
+    to the grid) and stops when the L2 norm of the Euler-Lagrange residual
+    falls below ``tol``, or after ``max_iter`` steps with ``converged`` false.
+    Iterates whose graph metric loses convexity are rejected and the trust
+    region shrunk; collapse of the trust region below ``MIN_TRUST`` raises
+    :class:`ConvergenceError` with diagnostics. Stability is checked
+    separately, by :func:`hessian_check`. Every evaluation goes through
+    ``workspace``.
     """
-    opts = opts or OptimalSolveOptions()
     grid = data.grid
-    l_max = min(opts.l_max_tau, grid.n_theta - 2, grid.n_phi // 2 - 1)
+    l_max = min(l_max_tau, grid.n_theta - 2, grid.n_phi // 2 - 1)
     basis = grid.basis(l_max, lmin=1)
-    model = _EnergyModel(data, basis, workspace)
+
+    def evaluate(coeffs):
+        """Energy, gradient and residual norm at tau = synthesize(coeffs)."""
+        tau = TimeFunction(ScalarField(grid, basis.synthesize(coeffs)))
+        energy = wang_yau_energy(data, tau, workspace=workspace).energy
+        return (energy, *_gradient(data, basis, tau, workspace))
 
     x = basis.analyze(tau0.tau.values)
     try:
-        f = model.energy(x)
+        f, g, res_norm = evaluate(x)
     except AdmissibilityError as exc:
         raise PreconditionError(f"starting time function inadmissible: {exc}")
-    g, res_norm = model.gradient(x)
-    b_mat = np.diag(model.hessian_seed())
+    # Leading-order diagonal curvature model. The stiff part of the second
+    # variation is the boost-angle term, roughly (Laplacian delta-tau)^2 /
+    # (8 pi |H|); on a near-round metric of areal radius r this gives
+    # l^2 (l+1)^2 / (8 pi r^2 <|H|>) per orthonormal mode. Only the l-scaling
+    # matters: the secant updates refine the rest.
+    r_sq = calc.area(data.sigma) / (4.0 * np.pi)
+    inv_h = float(np.mean(1.0 / data.h_norm.values))
+    ells = basis.degrees
+    seed = (ells * (ells + 1.0)) ** 2 * inv_h / (8.0 * np.pi * r_sq)
+    b_mat = np.diag(np.maximum(seed, seed[0] * 0.05))
     radius = INITIAL_TRUST
     energy_path = [f]
 
     iterations = 0
-    while res_norm >= opts.tol and iterations < opts.max_iter:
+    while res_norm >= tol and iterations < max_iter:
         iterations += 1
         p = _trust_step(b_mat, g, radius)
         predicted = -(g @ p + 0.5 * p @ (b_mat @ p))
         noise = 1e-12 * (1.0 + abs(f))
         try:
-            f_new = model.energy(x + p)
-            g_new, res_new = model.gradient(x + p)
+            f_new, g_new, res_new = evaluate(x + p)
             if predicted > noise:
                 ratio = (f - f_new) / predicted
                 accept = ratio > 1e-3
@@ -196,12 +157,10 @@ def solve_optimal(data, tau0, opts=None, *, workspace):
                 diagnostics={"residual_norm": res_norm, "energy": f,
                              "iterations": iterations, "trust_radius": radius})
 
+    tau_star = TimeFunction(ScalarField(grid, basis.synthesize(x)))
     return OptimalSolveResult(
-        tau_star=model.tau(x).mean_removed(),
-        energy=f,
-        el_residual_norm=res_norm,
-        iterations=iterations,
-        converged=bool(res_norm < opts.tol),
+        tau_star=tau_star.mean_removed(), energy=f, el_residual_norm=res_norm,
+        iterations=iterations, converged=bool(res_norm < tol),
         energy_path=tuple(energy_path))
 
 
@@ -229,10 +188,14 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     if n_modes < 1:
         raise PreconditionError(f"hessian needs at least one mode, got {n_modes}")
     grid = data.grid
-    l_needed = int(np.ceil(np.sqrt(n_modes + 1))) + 1
-    basis = grid.basis(max(4, l_needed), lmin=1)
-    model = _EnergyModel(data, basis, workspace)
-    _, res0 = model.gradient_at(tau_star.tau.values)
+    # The smallest probe basis holding n_modes directions: (L+1)^2 - 1 modes.
+    basis = grid.basis(int(np.ceil(np.sqrt(n_modes + 1))) - 1, lmin=1)
+
+    def gradient_at(values):
+        tau = TimeFunction(ScalarField(grid, values))
+        return _gradient(data, basis, tau, workspace)
+
+    _, res0 = gradient_at(tau_star.tau.values)
     if res0 > residual_tol:
         raise PreconditionError(
             f"hessian requested away from a critical point "
@@ -240,38 +203,24 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
 
     cols = []
     for direction in basis.synthesize(np.eye(basis.n_modes)[:n_modes]):
-        g_plus, _ = model.gradient_at(tau_star.tau.values + FD_STEP * direction)
-        g_minus, _ = model.gradient_at(tau_star.tau.values - FD_STEP * direction)
+        g_plus, _ = gradient_at(tau_star.tau.values + FD_STEP * direction)
+        g_minus, _ = gradient_at(tau_star.tau.values - FD_STEP * direction)
         cols.append((g_plus - g_minus)[:n_modes] / (2.0 * FD_STEP))
     raw = np.array(cols).T
-    sym_defect = float(np.max(np.abs(raw - raw.T))
-                       / max(np.max(np.abs(raw)), 1e-300))
-    sym = 0.5 * (raw + raw.T)
-    return HessianReport(eigenvalues=np.linalg.eigvalsh(sym),
-                         symmetry_defect=sym_defect)
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    energy_at_tau: float
-    energy_at_critical: float
-    energy_of_reference_surface: float
-
-    @property
-    def slack(self):
-        return (self.energy_at_tau - self.energy_at_critical
-                - self.energy_of_reference_surface)
+    return HessianReport(
+        eigenvalues=np.linalg.eigvalsh(0.5 * (raw + raw.T)),
+        symmetry_defect=float(np.max(np.abs(raw - raw.T))
+                              / max(np.max(np.abs(raw)), 1e-300)))
 
 
 def comparison_check(data, tau_star, tau, *, workspace):
     """Energy-comparison inequality around a positive-density critical point.
 
-    The third term re-reads the critical graph as a physical surface in
-    Minkowski space and evaluates its energy at ``tau``; the reported slack
-    is nonnegative up to solver error, vanishing when tau - tau_star is
-    constant.
+    Returns the slack E(tau) - E(tau_star) - E_ref(tau). The third term
+    re-reads the critical graph as a physical surface in Minkowski space and
+    evaluates its energy at ``tau``; the slack is nonnegative up to solver
+    error, vanishing when tau - tau_star is constant.
     """
-    grid = data.grid
     rho = mass_density(data, tau_star, workspace=workspace)
     if rho.values.min() <= 0:
         raise PreconditionError(
@@ -283,9 +232,6 @@ def comparison_check(data, tau_star, tau, *, workspace):
     state = workspace.graph_state(data.sigma, tau_star)
     chart = np.concatenate([tau_star.tau.values[None],
                             state["graph"].space.xyz])
-    ref_data, _ = surface_data_from_embedding(grid, chart)
+    ref_data, _ = surface_data_from_embedding(data.grid, chart)
     e_ref = wang_yau_energy(ref_data, tau, workspace=workspace).energy
-    return ComparisonReport(
-        energy_at_tau=e_tau,
-        energy_at_critical=e_star,
-        energy_of_reference_surface=e_ref)
+    return e_tau - e_star - e_ref

@@ -7,7 +7,7 @@ from oracles import ellipsoid_area, ellipsoid_gauss_curvature
 from qlm import calculus as calc
 from qlm.errors import (GridMismatchError, InvalidFieldError,
                         InvalidMetricError)
-from qlm.fields import Metric2, OneForm, ScalarField
+from qlm.fields import Metric2, OneForm, ScalarField, worst_node
 from qlm.grid import sphere_grid
 from qlm.harmonics import legendre_functions, real_mode_table
 
@@ -266,3 +266,9 @@ def test_non_two_to_one_grid_aspect():
     f = ScalarField(grid, basis.synthesize(coeffs))
     lap = calc.laplacian(Metric2.round(grid, 1.0), f)
     assert np.max(np.abs(lap.values + 12.0 * f.values)) < 1e-9
+
+
+def test_worst_node_is_a_pair_of_python_ints():
+    node = worst_node(np.array([[3.0, 2.0], [1.0, 4.0]]))
+    assert node == (1, 0)
+    assert all(type(i) is int for i in node)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 import qlm
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data)
-from qlm.cli import main
+from qlm.cli import build_parser, main
 from qlm.datafile import load_surface_data, save_surface_data
 from qlm.errors import InputFileError
 from qlm.grid import sphere_grid
@@ -123,6 +124,9 @@ def test_cli_rejects_malformed_arguments(argv):
     ["plotdata", "shi-tam", "--r0", "0", "--outdir", "{tmp}"],
     ["plotdata", "shi-tam", "--r-far", "inf", "--outdir", "{tmp}"],
     ["optimal", "{data}", "--weyl-tol", "inf"],
+    # A negative seed is refused before any row draws random fields.
+    ["validate", "--resolution", "16", "--seed", "-5",
+     "--only", "el-gradient-schwarzschild"],
 ])
 def test_cli_out_of_range_inputs_are_input_errors(argv, schw_file, tmp_path,
                                                   capsys):
@@ -276,7 +280,27 @@ def test_cli_validate_subset(tmp_path, capsys):
     rows = out.read_text().strip().splitlines()
     assert rows[0].startswith("check_id,")
     assert len(rows) == 4
-    assert main(["validate", "--only", "no-such-check"]) == 2
+    capsys.readouterr()
+    # Unknown ids, and values that name no id at all, run nothing.
+    for only in (",", "", " , ", "no-such-check"):
+        assert main(["validate", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--only must name known check ids" in captured.err
+
+
+def test_cli_validate_seed_zero_is_valid():
+    assert build_parser().parse_args(["validate", "--seed", "0"]).seed == 0
+
+
+def test_cli_error_messages_print_plain_node_indices(tmp_path, capsys):
+    # A bump this large makes the induced metric indefinite somewhere; the
+    # message names the node as plain integers, not numpy scalar reprs.
+    code = main(["catalog", "lightcone", "--resolution", "16", "--bump", "50",
+                 "--out", str(tmp_path / "cut.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(r"node \(\d+, \d+\)", err), err
 
 
 def test_cli_compute_wangyau_with_stored_tau(tmp_path, capsys):
@@ -347,6 +371,37 @@ def test_cli_plotdata_stability(tmp_path, capsys):
     mid = len(values) // 2
     # Convex near the critical point: the midpoint is the minimum.
     assert np.all(values[:, 1] >= values[mid, 1] - 1e-12)
+
+
+def test_cli_plotdata_stability_refuses_a_nonconverged_solve(
+        tmp_path, schw_file, monkeypatch, capsys):
+    import qlm.optimal
+
+    def capped(data, tau0, *, workspace, tol, **kwargs):
+        return qlm.optimal.OptimalSolveResult(
+            tau_star=tau0, energy=0.0, el_residual_norm=1.0, iterations=200,
+            converged=False)
+
+    monkeypatch.setattr(qlm.optimal, "solve_optimal", capped)
+    code = main(["plotdata", "stability", "--input", schw_file,
+                 "--outdir", str(tmp_path)])
+    assert code == 3
+    assert "iteration cap" in capsys.readouterr().err
+    assert not (tmp_path / "stability_curve.csv").exists()
+
+
+def test_cli_plotdata_stability_refuses_an_infinite_span_before_solving(
+        tmp_path, schw_file, monkeypatch, capsys):
+    import qlm.optimal
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_optimal ran before --span was checked")
+
+    monkeypatch.setattr(qlm.optimal, "solve_optimal", unreachable)
+    code = main(["plotdata", "stability", "--input", schw_file,
+                 "--span", "inf", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "--span" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path, schw_file):
