@@ -224,12 +224,21 @@ def cmd_catalog(args):
 def cmd_optimal(args):
     import numpy as np
     from .datafile import load_surface_data
+    from .errors import PreconditionError
     from .functionals import EnergyWorkspace, TimeFunction
-    from .optimal import hessian_check, solve_optimal
+    from .optimal import _probe_degree, hessian_check, solve_optimal
 
     loaded = load_surface_data(args.input)
     data = loaded.data
     grid = data.grid
+    if args.hessian:
+        # Refuse a probe basis the grid cannot hold before the solve.
+        degree = _probe_degree(args.hessian)
+        support = min(grid.n_theta - 1, grid.n_phi // 2 - 1)
+        if degree > support:
+            raise PreconditionError(
+                f"--hessian {args.hessian} needs probe degree {degree}, "
+                f"above the grid's {support}")
     if args.tau0_y10 is not None:
         tau0 = TimeFunction.from_modes(grid, {(1, 0, 0): args.tau0_y10})
     elif loaded.tau is not None:
@@ -386,7 +395,7 @@ def build_parser():
     p.add_argument("--l-max-tau", type=_positive_int, default=16)
     p.add_argument("--max-iter", type=_positive_int, default=200)
     p.add_argument("--weyl-tol", type=_positive_float, default=1e-10)
-    p.add_argument("--hessian", type=int, default=0,
+    p.add_argument("--hessian", type=_nonnegative_int, default=0,
                    help="append a reduced-Hessian spectrum of this many modes")
     p.add_argument("--out")
     p.set_defaults(func=cmd_optimal)

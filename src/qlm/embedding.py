@@ -2,7 +2,8 @@
 
 ``WeylSolver`` finds coordinate functions X with <dX, dX> = sigma_hat for a
 positive-curvature metric by Gauss-Newton iteration on real harmonic
-coefficients, started from an area-matched round sphere. The rigid-motion
+coefficients, started from an area-matched round sphere or, when it fits
+the metric better, from the previous solution. The rigid-motion
 kernel is removed by excluding the degree-0 modes (translations) and
 penalizing the three infinitesimal rotations of the current iterate.
 
@@ -45,6 +46,7 @@ class EmbeddingR3:
     xyz: np.ndarray          # (3, n_theta, n_phi)
     residual: float          # max-node isometry residual, relative
     l_max: int
+    warm_start: bool = False  # reached from the previous solve's iterate
 
     def __post_init__(self):
         arr = np.asarray(self.xyz, dtype=float).copy()
@@ -96,8 +98,10 @@ def _area_centroid(xyz, sigma):
 class WeylSolver:
     """Stateful isometric-embedding solver with warm restarts.
 
-    One instance per grid; repeated solves for slowly varying metrics reuse
-    the previous solution and normal-matrix factorization. Instances are
+    One instance per grid. A solve starts from the previous solution, and
+    reuses its normal-matrix factorization, only when that iterate fits the
+    new metric better than the round sphere does: warm starts pay off for
+    nearby metrics, and unrelated ones solve cold. Instances are
     single-threaded state machines: share inputs and outputs freely (both
     are immutable), but give each concurrent solve its own instance.
 
@@ -256,10 +260,13 @@ class WeylSolver:
     def solve(self, sigma_hat, check_curvature=True):
         """Solve <dX, dX> = sigma_hat; returns an :class:`EmbeddingR3`.
 
-        Gauss-Newton from the previous solution first; if that misses
-        ``tol``, Gauss-Newton from the area-matched round sphere, growing
-        the degree by 8 on each floor up to the cap. A floor at the cap
-        raises :class:`ConvergenceError` carrying the last iterate
+        Starts from the better, by max-node relative residual, of the
+        previous solution and the area-matched round sphere at ``L_START``.
+        Gauss-Newton from the previous solution keeps its degree; if it
+        misses ``tol``, or the round sphere fits better, the solve is cold:
+        Gauss-Newton from the round sphere, growing the degree by 8 on each
+        floor up to the cap. A floor at the cap raises
+        :class:`ConvergenceError` carrying the last iterate
         (``diagnostics["last_iterate"]``), the cap (``"l_cap"``) and the
         residual floor (``"floor"``).
         """
@@ -271,16 +278,22 @@ class WeylSolver:
                 sigma_hat, "isometric embedding target", PreconditionError)
         target = np.stack(sigma_hat.components())
 
-        if self._warm is not None:
-            basis, warm = self._warm
-            coeffs, x, rel, ok = self._gauss_newton(
-                warm, basis, target, self.tol)
-            if ok:
-                return self._package(basis, coeffs, x, rel)
+        def start_rel(basis, coeffs):
+            _, xt, xp = self._fields(basis, coeffs)
+            return _max_rel(self._residual(xt, xp, target), target)
 
         basis = grid.basis(min(L_START, self.l_cap), lmin=1)
         radius = np.sqrt(calc.area(sigma_hat) / (4.0 * np.pi))
         coeffs = basis.analyze(radius * grid.unit_sphere)
+        if self._warm is not None:
+            warm_basis, warm = self._warm
+            if start_rel(warm_basis, warm) < start_rel(basis, coeffs):
+                warm, x, rel, ok = self._gauss_newton(
+                    warm, warm_basis, target, self.tol)
+                if ok:
+                    return self._package(warm_basis, warm, x, rel,
+                                         warm_start=True)
+
         self._factor = None
         while True:
             coeffs, x, rel, ok = self._gauss_newton(
@@ -299,13 +312,14 @@ class WeylSolver:
             coeffs = np.pad(coeffs,
                             ((0, 0), (0, basis.n_modes - coeffs.shape[1])))
 
-    def _package(self, basis, coeffs, x, rel):
+    def _package(self, basis, coeffs, x, rel, warm_start=False):
         self._warm = (basis, coeffs.copy())
+        rel = float(rel)
         emb = EmbeddingR3(self.grid, x, rel, basis.lmax)
         # Pin the induced-measure centroid at the origin.
         offset = -_area_centroid(emb.xyz, emb.induced_metric())
         return EmbeddingR3(self.grid, emb.xyz + offset[:, None, None], rel,
-                           basis.lmax)
+                           basis.lmax, warm_start)
 
 
 def extract_geometry(emb):

@@ -11,6 +11,7 @@ density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ def _gradient(data, basis, tau, workspace):
     grad = basis.project(weighted) / (8.0 * np.pi)
     norm = float(np.sqrt(np.sum(weighted * residual.values)))
     return grad, norm
+
+
+def _probe_degree(n_modes):
+    """Degree of the smallest basis holding ``n_modes`` probe directions;
+    degree L holds (L+1)^2 - 1 of them, constants excluded."""
+    return math.isqrt(n_modes)
 
 
 def _trust_step(b_mat, grad, radius):
@@ -188,8 +195,7 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     if n_modes < 1:
         raise PreconditionError(f"hessian needs at least one mode, got {n_modes}")
     grid = data.grid
-    # The smallest probe basis holding n_modes directions: (L+1)^2 - 1 modes.
-    basis = grid.basis(int(np.ceil(np.sqrt(n_modes + 1))) - 1, lmin=1)
+    basis = grid.basis(_probe_degree(n_modes), lmin=1)
 
     def gradient_at(values):
         tau = TimeFunction(ScalarField(grid, values))
@@ -213,25 +219,29 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
                               / max(np.max(np.abs(raw)), 1e-300)))
 
 
-def comparison_check(data, tau_star, tau, *, workspace):
+def comparison_check(data, tau_star, taus, *, workspace):
     """Energy-comparison inequality around a positive-density critical point.
 
-    Returns the slack E(tau) - E(tau_star) - E_ref(tau). The third term
-    re-reads the critical graph as a physical surface in Minkowski space and
-    evaluates its energy at ``tau``; the slack is nonnegative up to solver
-    error, vanishing when tau - tau_star is constant.
+    Returns the slacks E(tau) - E(tau_star) - E_ref(tau), one per tau in
+    ``taus``. The third term re-reads the critical graph as a physical
+    surface in Minkowski space and evaluates its energy at tau; each slack is
+    nonnegative up to solver error, vanishing when tau - tau_star is constant.
+    The density, E(tau_star) and the reference surface are computed once.
     """
     rho = mass_density(data, tau_star, workspace=workspace)
     if rho.values.min() <= 0:
         raise PreconditionError(
             f"comparison inequality requires positive density "
             f"(min {rho.values.min():.3e})")
-    e_tau = wang_yau_energy(data, tau, workspace=workspace).energy
     e_star = wang_yau_energy(data, tau_star, workspace=workspace).energy
 
     state = workspace.graph_state(data.sigma, tau_star)
     chart = np.concatenate([tau_star.tau.values[None],
                             state["graph"].space.xyz])
     ref_data, _ = surface_data_from_embedding(data.grid, chart)
-    e_ref = wang_yau_energy(ref_data, tau, workspace=workspace).energy
-    return e_tau - e_star - e_ref
+    slacks = []
+    for tau in taus:
+        e_tau = wang_yau_energy(data, tau, workspace=workspace).energy
+        e_ref = wang_yau_energy(ref_data, tau, workspace=workspace).energy
+        slacks.append(e_tau - e_star - e_ref)
+    return slacks

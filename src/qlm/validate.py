@@ -333,12 +333,12 @@ def _checks():
     def _(ctx):
         data = ctx.schwarzschild(4.0).data
         tau_star = ctx.schwarzschild_tau_star().tau_star
-        worst = min(
-            comparison_check(data, tau_star,
-                             TimeFunction.from_modes(ctx.grid, modes),
-                             workspace=ctx.workspace)
-            for modes in ({(2, 0, 0): 0.05}, {(1, 1, 1): 0.05},
-                          {(2, 1, 0): 0.05}, {(3, 0, 0): 0.04}))
+        worst = min(comparison_check(
+            data, tau_star,
+            [TimeFunction.from_modes(ctx.grid, modes)
+             for modes in ({(2, 0, 0): 0.05}, {(1, 1, 1): 0.05},
+                           {(2, 1, 0): 0.05}, {(3, 0, 0): 0.04})],
+            workspace=ctx.workspace))
         return 0.0, min(worst, 0.0), 1e-6, f"min slack {worst:.3e}"
 
     @add("comparison-equality-constant")
@@ -346,7 +346,8 @@ def _checks():
         data = ctx.schwarzschild(4.0).data
         tau_star = ctx.schwarzschild_tau_star().tau_star
         tau = TimeFunction(tau_star.tau + 0.3)
-        slack = comparison_check(data, tau_star, tau, workspace=ctx.workspace)
+        [slack] = comparison_check(data, tau_star, [tau],
+                                   workspace=ctx.workspace)
         return 0.0, slack, 1e-6, "tau = tau* + const"
 
     # 11. Quasi-spherical chain.

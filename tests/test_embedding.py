@@ -290,14 +290,37 @@ def spot_cut_data(n_theta, height, steepness):
 
 def test_warm_solves_reuse_the_factorization(grid32, cho_calls):
     solver = WeylSolver(grid32, tol=1e-10)
-    factorizations = []
+    factorizations, warm = [], []
     for axes in ((1.0, 1.0, 1.2), (1.0, 1.0, 1.2), (1.0, 1.0, 1.201)):
         before = len(cho_calls)
-        assert solver.solve(ellipsoid_metric(grid32, axes)).residual < 1e-10
+        emb = solver.solve(ellipsoid_metric(grid32, axes))
+        assert emb.residual < 1e-10
         factorizations.append(len(cho_calls) - before)
+        warm.append(emb.warm_start)
     # A cold solve, then a warm start already at its target, then a nearby
     # metric whose Gauss-Newton steps reuse the stale factor.
     assert factorizations == [4, 0, 0]
+    assert warm == [False, True, True]
+
+
+def test_unrelated_metric_starts_from_the_round_sphere(grid32, cho_calls):
+    # After the spot cut, which ends at the cap L=21, the round sphere fits
+    # an ellipsoid better than the cut's iterate does: the solve is cold, at
+    # the starting degree, and costs what it costs a fresh solver.
+    solver = WeylSolver(grid32, tol=1e-9)
+    assert solver.solve(spot_cut_data(32, 0.1, 4.0).sigma).l_max == 21
+    sigma = ellipsoid_metric(grid32, (1.0, 1.0, 1.2))
+    before = len(cho_calls)
+    emb = solver.solve(sigma)
+    shared = len(cho_calls) - before
+    assert emb.residual < 1e-9
+    assert emb.l_max == embedding.L_START
+    assert not emb.warm_start
+    assert type(emb.residual) is float
+
+    before = len(cho_calls)
+    WeylSolver(grid32, tol=1e-9).solve(sigma)
+    assert shared == len(cho_calls) - before
 
 
 def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):

@@ -404,6 +404,20 @@ def test_cli_plotdata_stability_refuses_an_infinite_span_before_solving(
     assert "--span" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", ["-3", "400"])
+def test_cli_optimal_refuses_a_bad_hessian_before_solving(
+        schw_file, monkeypatch, capsys, modes):
+    # A negative count, or one whose probe degree 20 exceeds the n=16 grid.
+    import qlm.optimal
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_optimal ran before --hessian was checked")
+
+    monkeypatch.setattr(qlm.optimal, "solve_optimal", unreachable)
+    assert main(["optimal", schw_file, "--hessian", modes]) == 2
+    assert "--hessian" in capsys.readouterr().err
+
+
 def test_cli_determinism(tmp_path, schw_file):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

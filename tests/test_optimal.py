@@ -120,13 +120,13 @@ def test_hessian_requires_critical_point(grid32, schw32, ws32):
 def test_comparison_inequality(grid32, schw32, schw_critical):
     ws, result = schw_critical
     tau_star = result.tau_star
-    for modes in ({(2, 0, 0): 0.05}, {(1, 1, 1): 0.05}, {(2, 1, 0): 0.05}):
-        tau = TimeFunction.from_modes(grid32, modes)
-        slack = comparison_check(schw32.data, tau_star, tau, workspace=ws)
-        assert slack >= -1e-6
-    shifted = TimeFunction(tau_star.tau + 0.4)
-    slack = comparison_check(schw32.data, tau_star, shifted, workspace=ws)
-    assert abs(slack) < 1e-6
+    taus = [TimeFunction.from_modes(grid32, modes) for modes in
+            ({(2, 0, 0): 0.05}, {(1, 1, 1): 0.05}, {(2, 1, 0): 0.05})]
+    *slacks, shifted = comparison_check(
+        schw32.data, tau_star, taus + [TimeFunction(tau_star.tau + 0.4)],
+        workspace=ws)
+    assert min(slacks) >= -1e-6
+    assert abs(shifted) < 1e-6
 
 
 def test_local_minimum_property(grid32, schw32, schw_critical):
