@@ -3,9 +3,11 @@
 ``WeylSolver`` finds coordinate functions X with <dX, dX> = sigma_hat for a
 positive-curvature metric by Gauss-Newton iteration on real harmonic
 coefficients, started from an area-matched round sphere or, when it fits
-the metric better, from the previous solution. The rigid-motion
-kernel is removed by excluding the degree-0 modes (translations) and
-penalizing the three infinitesimal rotations of the current iterate.
+the metric better, from the previous solution. Steps above a small degree
+are conjugate-gradient solves that never form the normal matrix. The
+rigid-motion kernel is removed by excluding the degree-0 modes
+(translations) and penalizing the three infinitesimal rotations of the
+current iterate.
 
 ``extract_geometry`` recovers outward normal, second fundamental form, mean
 and principal curvatures from an embedding, and ``graph_embedding`` lifts an
@@ -47,6 +49,7 @@ class EmbeddingR3:
     residual: float          # max-node isometry residual, relative
     l_max: int
     warm_start: bool = False  # reached from the previous solve's iterate
+    krylov_iterations: int = 0  # conjugate-gradient products of the solve
 
     def __post_init__(self):
         arr = np.asarray(self.xyz, dtype=float).copy()
@@ -81,6 +84,8 @@ L_START = 10              # harmonic degree a cold solve starts from
 MAX_GN_ITER = 25          # Gauss-Newton steps per degree
 FLOOR_GAIN = 1e-3         # a fresh-factor step gaining less than this share
                           # of the objective has reached the truncation floor
+L_P = 18                  # highest degree whose normal matrix is factored
+KRYLOV_FORCING = 1e-3     # relative residual of a conjugate-gradient step
 
 
 def _max_rel(res, target):
@@ -111,10 +116,18 @@ class WeylSolver:
     what the grid resolves: degree n_theta - 1 in colatitude and order
     n_phi / 2 - 1 in longitude.
 
+    Up to degree ``L_P`` each Gauss-Newton step solves the normal equations
+    by a Cholesky factorization of the normal matrix. Above it the (3M)^2
+    matrix is never formed: each step is a Jacobi-preconditioned conjugate
+    gradient solve to a relative residual of ``KRYLOV_FORCING``, built from
+    matrix-free products, and no factor is held. ``krylov_iterations`` of
+    the result counts those products.
+
     Gauss-Newton stops at a truncation floor: once a step taken with a fresh
-    factorization lowers the objective by less than ``FLOOR_GAIN`` of itself,
-    the degree cannot do better. A floor below the cap grows the degree; a
-    floor at the cap fails the solve at once.
+    factorization, or by conjugate gradients, lowers the objective by less
+    than ``FLOOR_GAIN`` of itself, the degree cannot do better. A floor
+    below the cap grows the degree; a floor at the cap fails the solve at
+    once.
     """
 
     def __init__(self, grid, tol=1e-8):
@@ -125,6 +138,7 @@ class WeylSolver:
         self._warm = None           # (basis, coefficients) of the last solve
         self._factor = None
         self._factor_l = None
+        self._krylov_iterations = 0
         w = grid.quad_weights
         sin2 = grid.sin_theta[:, None] ** 2
         self._w_tt = w
@@ -172,14 +186,10 @@ class WeylSolver:
         n_modes = basis.n_modes
         blocks = [slice(i * n_modes, (i + 1) * n_modes) for i in range(3)]
         jtj = np.empty((3 * n_modes, 3 * n_modes))
-        w_tt, w_tp, w_pp = self._w_tt, self._w_tp, self._w_pp
         for i in range(3):
             for j in range(i, 3):
                 block = basis.derivative_gram(
-                    4.0 * w_tt * xt[i] * xt[j] + w_tp * xp[i] * xp[j],
-                    w_tp * xp[i] * xt[j],
-                    w_tp * xt[i] * xp[j],
-                    4.0 * w_pp * xp[i] * xp[j] + w_tp * xt[i] * xt[j])
+                    *self._gram_weights(xt[i], xt[j], xp[i], xp[j]))
                 jtj[blocks[i], blocks[j]] = block
                 if j > i:
                     jtj[blocks[j], blocks[i]] = block.T
@@ -187,11 +197,62 @@ class WeylSolver:
         # Rotation gauge: penalize motion along e_k x X, as one rank-3
         # update added a block of rows at a time.
         gamma2 = np.trace(jtj) / jtj.shape[0]
-        rot = np.stack([np.cross(e[:, None, None], x, axis=0) for e in np.eye(3)])
-        rows = basis.analyze(rot).reshape(3, -1)
+        rows = self._rotation_rows(basis, x)
         for part in blocks:
             jtj[part] += (gamma2 * rows[:, part]).T @ rows
         return jtj
+
+    def _gram_weights(self, ti, tj, pi, pj):
+        """Weights (A_ij, C_ij, C_ji, B_ij) of ``_normal_matrix`` for the
+        tangents (ti, pi) of coordinate i and (tj, pj) of coordinate j."""
+        w_tt, w_tp, w_pp = self._w_tt, self._w_tp, self._w_pp
+        return (4.0 * w_tt * ti * tj + w_tp * pi * pj, w_tp * pi * tj,
+                w_tp * ti * pj, 4.0 * w_pp * pi * pj + w_tp * ti * tj)
+
+    def _rotation_rows(self, basis, x):
+        """Gauge rows R, 3 x 3M: the coefficients of e_k x X."""
+        rot = np.stack([np.cross(e[:, None, None], x, axis=0) for e in np.eye(3)])
+        return basis.analyze(rot).reshape(3, -1)
+
+    def _normal_diagonal(self, basis, x, xt, xp):
+        """Diagonal of the gauged normal matrix, its gauge weight gamma^2
+        (the mean diagonal of J^T W J) and the gauge rows R."""
+        jtj = basis.derivative_gram_diagonal(
+            *self._gram_weights(xt, xt, xp, xp)).ravel()
+        gamma2 = jtj.mean()
+        rows = self._rotation_rows(basis, x)
+        return jtj + gamma2 * (rows * rows).sum(0), gamma2, rows
+
+    def _normal_product(self, basis, xt, xp, gamma2, rows, v):
+        """(J^T W J + gamma^2 R^T R) v without forming the matrix: the
+        linearized residual of the step v, pulled back by ``_gradient``."""
+        dt, dp = (basis.synthesize(v.reshape(3, -1), derivative)
+                  for derivative in ("theta", "phi"))
+        lin = (2.0 * (xt * dt).sum(0), (xt * dp + xp * dt).sum(0),
+               2.0 * (xp * dp).sum(0))
+        return (self._gradient(basis, xt, xp, lin)
+                + gamma2 * (rows.T @ (rows @ v)))
+
+    def _krylov_step(self, basis, x, xt, xp, g):
+        """Jacobi-preconditioned CG for the normal equations with right-hand
+        side ``g``, to a residual of ``KRYLOV_FORCING`` times |g|."""
+        diag, gamma2, rows = self._normal_diagonal(basis, x, xt, xp)
+        step, r = np.zeros_like(g), g.copy()
+        d = r / diag
+        rz = r @ d
+        stop = KRYLOV_FORCING * np.linalg.norm(g)
+        for _ in range(g.size):         # the exact-arithmetic bound
+            if np.linalg.norm(r) <= stop:
+                break
+            q = self._normal_product(basis, xt, xp, gamma2, rows, d)
+            self._krylov_iterations += 1
+            alpha = rz / (d @ q)
+            step += alpha * d
+            r -= alpha * q
+            z = r / diag
+            rz, rz_old = r @ z, rz
+            d = z + (rz / rz_old) * d
+        return step
 
     def _factorize(self, jtj):
         """Cholesky factor of ``jtj`` plus a 1e-14 relative diagonal shift,
@@ -212,23 +273,29 @@ class WeylSolver:
         gains less than ``FLOOR_GAIN`` of the objective (the truncation
         floor). With a stale factor, a step gaining less than 99% triggers
         a refactorization instead. A factor is stale when one of this
-        degree is held from an earlier solve.
+        degree is held from an earlier solve. Above degree ``L_P`` any held
+        factor is freed and every step is a conjugate-gradient solve
+        (``_krylov_step``), which counts as a fresh-factor step.
         """
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
         rel = _max_rel(res, target)
+        krylov = basis.lmax > L_P
+        if krylov:
+            self._factor = None
         stale = self._factor is not None and self._factor_l == basis.lmax
         for _ in range(MAX_GN_ITER):
             if rel < tol:
                 return coeffs, x, rel, True
-            if not stale:
+            if not (stale or krylov):
                 self._factor = None     # free the old factor first
                 self._factor = self._factorize(
                     self._normal_matrix(basis, x, xt, xp))
                 self._factor_l = basis.lmax
             g = self._gradient(basis, xt, xp, res)
-            step = scipy.linalg.cho_solve(self._factor, g, check_finite=False)
+            step = (self._krylov_step(basis, x, xt, xp, g) if krylov else
+                    scipy.linalg.cho_solve(self._factor, g, check_finite=False))
             step = step.reshape(3, -1)
 
             improved = False
@@ -277,6 +344,7 @@ class WeylSolver:
             calc.require_positive_curvature(
                 sigma_hat, "isometric embedding target", PreconditionError)
         target = np.stack(sigma_hat.components())
+        self._krylov_iterations = 0
 
         def start_rel(basis, coeffs):
             _, xt, xp = self._fields(basis, coeffs)
@@ -306,7 +374,8 @@ class WeylSolver:
                     f"L={self.l_cap} exceeds tolerance {self.tol:.1e}",
                     diagnostics={
                         "last_iterate": self._package(basis, coeffs, x, rel),
-                        "l_cap": self.l_cap, "floor": float(rel)})
+                        "l_cap": self.l_cap, "floor": float(rel),
+                        "krylov_iterations": self._krylov_iterations})
             # Truncation-limited: enlarge the basis, keeping the coefficients.
             basis = grid.basis(min(basis.lmax + 8, self.l_cap), lmin=1)
             coeffs = np.pad(coeffs,
@@ -319,7 +388,7 @@ class WeylSolver:
         # Pin the induced-measure centroid at the origin.
         offset = -_area_centroid(emb.xyz, emb.induced_metric())
         return EmbeddingR3(self.grid, emb.xyz + offset[:, None, None], rel,
-                           basis.lmax, warm_start)
+                           basis.lmax, warm_start, self._krylov_iterations)
 
 
 def extract_geometry(emb):

@@ -301,6 +301,20 @@ class RealHarmonicBasis:
             out[cols] = left[cols] @ terms.reshape(self.n_modes, -1).T
         return out
 
+    def derivative_gram_diagonal(self, c_tt, c_tp, c_pt, c_pp):
+        """Diagonal of :meth:`derivative_gram` with the same weights.
+
+        The weights may carry leading axes (..., n_theta, n_phi); the result
+        is (..., M). Each column's entry is one azimuthal sum per colatitude
+        row, so the cost after those sums is O(n_theta M).
+        """
+        q = self.azimuth
+        sums = [(c @ a)[..., q] for c, a in ((c_tt, self.azim ** 2),
+                                             (c_tp + c_pt, self.azim * self.dazim),
+                                             (c_pp, self.dazim ** 2))]
+        return (self.dp ** 2 * sums[0] + self.dp * self.p * sums[1]
+                + self.p ** 2 * sums[2]).sum(axis=-2)
+
     def _on_nodes(self, colatitude, azimuthal):
         t = self.transform
         return (colatitude[:, None] * azimuthal[:, self.azimuth]).reshape(

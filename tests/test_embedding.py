@@ -265,15 +265,16 @@ def test_stall_at_the_cap_carries_last_iterate(grid32, lightcone32):
 
 @pytest.fixture
 def cho_calls(monkeypatch):
-    """List that grows by one entry per Cholesky factorization."""
+    """List that grows by one entry per Cholesky factorization: the order
+    of the factored matrix."""
     import scipy.linalg
 
     calls = []
     original = scipy.linalg.cho_factor
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape[0])
+        return original(matrix, *args, **kwargs)
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
     return calls
 
@@ -326,12 +327,72 @@ def test_unrelated_metric_starts_from_the_round_sphere(grid32, cho_calls):
 def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):
     # The stream opener cut needs degree 21, the cap at n=32. Each degree
     # below it ends at its truncation floor instead of refactoring for steps
-    # that gain only rounding noise.
+    # that gain only rounding noise: 4 factorizations at L=10 and 3 at L=18.
+    # The cap is above L_P, so its steps are conjugate-gradient solves.
     sigma = spot_cut_data(32, 0.1, 4.0).sigma
     emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
     assert emb.l_max == 21
     assert emb.residual < 1e-9
-    assert len(cho_calls) == 8
+    assert len(cho_calls) == 7
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """List that grows by one entry per matrix-free normal-matrix product."""
+    calls = []
+    original = WeylSolver._normal_product
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(WeylSolver, "_normal_product", counted)
+    return calls
+
+
+def test_krylov_iterations_count_the_products(grid32, product_calls):
+    # Every degree of an ellipsoid solve is factored; the opener cut's last
+    # degree L=21 is above L_P and is solved matrix-free.
+    emb = WeylSolver(grid32, tol=1e-10).solve(
+        ellipsoid_metric(grid32, (1.0, 1.0, 1.2)))
+    assert emb.l_max <= embedding.L_P
+    assert emb.krylov_iterations == len(product_calls) == 0
+
+    sigma = spot_cut_data(32, 0.1, 4.0).sigma
+    emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
+    assert emb.l_max > embedding.L_P
+    assert type(emb.krylov_iterations) is int
+    assert emb.krylov_iterations == len(product_calls) > 0
+
+
+def test_sharp_cut_at_the_cap_against_revolution_oracle(cho_calls):
+    # The sharp_cut48 surface climbs to L=32, above L_P: its steps there are
+    # matrix-free, and no normal matrix above degree L_P is ever formed.
+    from oracles import revolution_mean_curvature
+
+    height, steepness = 0.2, 6.0
+    sigma = spot_cut_data(48, height, steepness).sigma
+    emb = WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
+    assert emb.l_max == 32
+    assert emb.residual < 1e-10
+    total = calc.integrate(sigma, extract_geometry(emb).mean_curvature)
+    # The cut's metric is f^2 times the round one, f = exp(g(cos(theta))).
+    g_of_x = lambda x: height * np.exp(steepness * (x - 1.0))
+    dg_dx = lambda x: steepness * g_of_x(x)
+    _, _, total_oracle = revolution_mean_curvature(g_of_x, dg_dx)
+    assert abs(total - total_oracle) <= 1e-8 * abs(total_oracle)
+    assert max(cho_calls) <= 3 * sigma.grid.basis(embedding.L_P, lmin=1).n_modes
+
+
+def test_spot_cut_floor_at_the_cap_n40():
+    # At n=40 the cap L=26 is above L_P: the matrix-free steps must find the
+    # same residual floor that factored steps found there.
+    sigma = spot_cut_data(40, 0.2, 6.0).sigma
+    with pytest.raises(ConvergenceError) as err:
+        WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
+    diagnostics = err.value.diagnostics
+    assert diagnostics["l_cap"] == diagnostics["last_iterate"].l_max == 26
+    assert abs(diagnostics["floor"] / 7.2357e-10 - 1.0) < 0.01
+    assert diagnostics["krylov_iterations"] > 0
 
 
 @pytest.mark.parametrize("spec, l_max, factorizations", [
@@ -406,6 +467,12 @@ def test_factored_kernels_match_dense_products(n_theta, lmin):
         assert _relative(solver._gradient(basis, xt, xp, res), dense_grad) < 1e-13
 
         # x = 0 zeroes the rotation-gauge rows.
+        v = np.random.default_rng(lmax).standard_normal(3 * basis.n_modes)
         for gauge in (np.zeros_like(x), x):
+            dense = dense_normal_matrix(basis, gauge, xt, xp, *weights)
             assert _relative(solver._normal_matrix(basis, gauge, xt, xp),
-                             dense_normal_matrix(basis, gauge, xt, xp, *weights)) < 1e-13
+                             dense) < 1e-13
+            diagonal, gamma2, rows = solver._normal_diagonal(basis, gauge, xt, xp)
+            assert _relative(diagonal, np.diag(dense)) < 1e-12
+            product = solver._normal_product(basis, xt, xp, gamma2, rows, v)
+            assert _relative(product, dense @ v) < 1e-12
