@@ -92,21 +92,8 @@ def covariant_hessian(sigma, f):
     """Second covariant derivative of a scalar, as a SymTensor2."""
     grid = same_grid(sigma, f)
     t = grid.transform
-    tt, tp, pp = sigma.components()
-    itt, itp, ipp = sigma.inverse_components()
-    dt_tt = t.dtheta(tt, 2)
-    dt_tp = t.dtheta(tp, 1)
-    dt_pp = t.dtheta(pp, 0)
-    dp_tt = t.dphi(tt)
-    dp_tp = t.dphi(tp)
-    dp_pp = t.dphi(pp)
     # Connection coefficients: g_cab is Gamma^c_ab (symmetric in a, b).
-    g_ttt = 0.5 * (itt * dt_tt + itp * (2.0 * dt_tp - dp_tt))
-    g_ttp = 0.5 * (itt * dp_tt + itp * dt_pp)
-    g_tpp = 0.5 * (itt * (2.0 * dp_tp - dt_pp) + itp * dp_pp)
-    g_ptt = 0.5 * (itp * dt_tt + ipp * (2.0 * dt_tp - dp_tt))
-    g_ptp = 0.5 * (itp * dp_tt + ipp * dt_pp)
-    g_ppp = 0.5 * (itp * (2.0 * dp_tp - dt_pp) + ipp * dp_pp)
+    g_ttt, g_ttp, g_tpp, g_ptt, g_ptp, g_ppp = sigma.christoffel
     f_t = t.dtheta(f.values, 0)
     f_p = t.dphi(f.values)
     f_ttheta = t.dtheta(f_t, 1)

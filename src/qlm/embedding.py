@@ -10,7 +10,7 @@ rigid-motion kernel is removed by excluding the degree-0 modes
 current iterate.
 
 ``extract_geometry`` recovers outward normal, second fundamental form, mean
-and principal curvatures from an embedding, and ``graph_embedding`` lifts an
+and principal curvatures from an embedding, and ``lift_graph`` lifts an
 embedding to a spacelike surface in Minkowski space.
 """
 
@@ -37,6 +37,7 @@ __all__ = [
     "admissible_graph_metric",
     "extract_geometry",
     "graph_embedding",
+    "lift_graph",
 ]
 
 
@@ -67,6 +68,15 @@ class EmbeddingR3:
         return Metric2(self.grid,
                        (xt * xt).sum(0), (xt * xp).sum(0), (xp * xp).sum(0))
 
+    @classmethod
+    def approximating(cls, sigma_hat, xyz, l_max):
+        """Coordinates ``xyz`` with their own isometry residual to sigma_hat."""
+        emb = cls(sigma_hat.grid, xyz, float("nan"), l_max)
+        target = sigma_hat.components()
+        res = np.subtract(emb.induced_metric().components(), target)
+        object.__setattr__(emb, "residual", float(_max_rel(res, target)))
+        return emb
+
 
 @dataclass(frozen=True)
 class EmbeddedGeometry:
@@ -86,6 +96,7 @@ FLOOR_GAIN = 1e-3         # a fresh-factor step gaining less than this share
                           # of the objective has reached the truncation floor
 L_P = 18                  # highest degree whose normal matrix is factored
 KRYLOV_FORCING = 1e-3     # relative residual of a conjugate-gradient step
+TANGENT_FORCING = 1e-10   # relative residual of a conjugate-gradient tangent
 
 
 def _max_rel(res, target):
@@ -164,14 +175,16 @@ class WeylSolver:
                      + np.sum(self._w_pp * r_pp ** 2))
 
     def _gradient(self, basis, xt, xp, res):
-        """Exact J^T r for the weighted least-squares functional."""
-        r_tt, r_tp, r_pp = res
+        """Exact J^T r for the weighted least-squares functional; residual
+        components (..., n_theta, n_phi) give (..., 3M)."""
+        r_tt, r_tp, r_pp = (r[..., None, :, :] for r in res)
         u_tt = self._w_tt * r_tt
         u_tp = self._w_tp * r_tp
         u_pp = self._w_pp * r_pp
         a = 2.0 * u_tt * xt + u_tp * xp
         b = u_tp * xt + 2.0 * u_pp * xp
-        return (basis.project(a, "theta") + basis.project(b, "phi")).ravel()
+        jtr = basis.project(a, "theta") + basis.project(b, "phi")
+        return jtr.reshape(jtr.shape[:-2] + (-1,))
 
     def _normal_matrix(self, basis, x, xt, xp):
         """Gauss-Newton normal matrix with rotation-gauge penalty rows.
@@ -233,14 +246,14 @@ class WeylSolver:
         return (self._gradient(basis, xt, xp, lin)
                 + gamma2 * (rows.T @ (rows @ v)))
 
-    def _krylov_step(self, basis, x, xt, xp, g):
+    def _krylov_step(self, basis, x, xt, xp, g, forcing=KRYLOV_FORCING):
         """Jacobi-preconditioned CG for the normal equations with right-hand
-        side ``g``, to a residual of ``KRYLOV_FORCING`` times |g|."""
+        side ``g``, to a residual of ``forcing`` times |g|."""
         diag, gamma2, rows = self._normal_diagonal(basis, x, xt, xp)
         step, r = np.zeros_like(g), g.copy()
         d = r / diag
         rz = r @ d
-        stop = KRYLOV_FORCING * np.linalg.norm(g)
+        stop = forcing * np.linalg.norm(g)
         for _ in range(g.size):         # the exact-arithmetic bound
             if np.linalg.norm(r) <= stop:
                 break
@@ -381,6 +394,28 @@ class WeylSolver:
             coeffs = np.pad(coeffs,
                             ((0, 0), (0, basis.n_modes - coeffs.shape[1])))
 
+    def tangent(self, space, deltas):
+        """Shifts dX (K, 3, n_theta, n_phi) of the embedding ``space`` for K
+        changes ``deltas`` (K, 3, n_theta, n_phi) of its metric's (tt, tp, pp).
+
+        Each solves the linearized isometry equation in ``space``'s degree:
+        (J^T W J + gamma^2 R^T R) dc = J^T W delta at ``space``. Up to ``L_P``
+        all share one factorization; above it each is a conjugate-gradient
+        solve to ``TANGENT_FORCING``. Warm iterate and held factor are kept.
+        """
+        basis = self.grid.basis(space.l_max, lmin=1)
+        x = space.xyz
+        xt, xp = space.tangents
+        rhs = self._gradient(basis, xt, xp, deltas.swapaxes(0, 1))
+        if basis.lmax > L_P:
+            steps = np.stack([self._krylov_step(basis, x, xt, xp, g,
+                                                TANGENT_FORCING) for g in rhs])
+        else:
+            factor = self._factorize(self._normal_matrix(basis, x, xt, xp))
+            steps = scipy.linalg.cho_solve(factor, rhs.T,
+                                           check_finite=False).T
+        return basis.synthesize(steps.reshape(len(rhs), 3, -1))
+
     def _package(self, basis, coeffs, x, rel, warm_start=False):
         self._warm = (basis, coeffs.copy())
         rel = float(rel)
@@ -458,27 +493,35 @@ def graph_embedding(sigma, tau, solver):
     """Lift (sigma, tau) to X = (tau, X_space) in Minkowski space.
 
     The spatial part isometrically embeds sigma + dtau (x) dtau with the
-    :class:`WeylSolver` ``solver``; the induced Lorentz metric of the graph
-    then reproduces sigma up to solver residual. The mean-curvature vector is
-    computed as the sigma-Laplacian of the four coordinate functions. Raises
+    :class:`WeylSolver` ``solver``; see :func:`lift_graph`. Raises
     :class:`AdmissibilityError` when the graph metric is not strictly convex.
     """
-    grid = same_grid(sigma, tau)
     dtau = calc.gradient(sigma, tau)
     sigma_hat = admissible_graph_metric(sigma, dtau)
-    emb = solver.solve(sigma_hat, check_curvature=False)
+    return lift_graph(sigma, dtau, sigma_hat,
+                      solver.solve(sigma_hat, check_curvature=False))
 
+
+def lift_graph(sigma, dtau, sigma_hat, space):
+    """Graph X = (tau, ``space``) for an embedding ``space`` of the graph
+    metric ``sigma_hat`` = sigma + dtau (x) dtau.
+
+    The induced Lorentz metric reproduces sigma up to the residual of
+    ``space``, recorded as ``lorentz_residual``. The mean-curvature vector
+    is the sigma-Laplacian of the four coordinate functions.
+    """
+    grid = same_grid(sigma, dtau, sigma_hat)
     lap_t = calc.divergence(sigma, dtau).values
-    lap_x = calc.coordinate_laplacian(sigma, emb.tangents)
+    lap_x = calc.coordinate_laplacian(sigma, space.tangents)
     mean_vec = np.concatenate([lap_t[None], lap_x])
     h0_sq = (lap_x * lap_x).sum(0) - lap_t ** 2
 
-    ind = emb.induced_metric()
+    ind = space.induced_metric()
     lorentz_residual = _max_rel((ind.tt - dtau.a_theta ** 2 - sigma.tt,
                                  ind.tp - dtau.a_theta * dtau.a_phi - sigma.tp,
                                  ind.pp - dtau.a_phi ** 2 - sigma.pp),
                                 sigma.components())
     return GraphEmbedding(
-        space=emb, sigma_hat=sigma_hat, dtau=dtau, mean_vec=mean_vec,
+        space=space, sigma_hat=sigma_hat, dtau=dtau, mean_vec=mean_vec,
         h0_sq=ScalarField(grid, h0_sq),
         lorentz_residual=float(lorentz_residual))

@@ -8,6 +8,7 @@ the operands share one grid object.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,3 +171,20 @@ class Metric2(SymTensor2):
 
     def sqrt_det(self):
         return np.sqrt(self.det())
+
+    @cached_property
+    def christoffel(self):
+        """Connection coefficients (G^t_tt, G^t_tp, G^t_pp, G^p_tt, G^p_tp,
+        G^p_pp), computed once per metric."""
+        t = self.grid.transform
+        tt, tp, pp = self.components()
+        itt, itp, ipp = self.inverse_components()
+        dt_tt, dt_tp, dt_pp = (t.dtheta(c, 2 - k)
+                               for k, c in enumerate((tt, tp, pp)))
+        dp_tt, dp_tp, dp_pp = t.dphi(np.stack((tt, tp, pp)))
+        return (0.5 * (itt * dt_tt + itp * (2.0 * dt_tp - dp_tt)),
+                0.5 * (itt * dp_tt + itp * dt_pp),
+                0.5 * (itt * (2.0 * dp_tp - dt_pp) + itp * dp_pp),
+                0.5 * (itp * dt_tt + ipp * (2.0 * dt_tp - dp_tt)),
+                0.5 * (itp * dp_tt + ipp * dt_pp),
+                0.5 * (itp * (2.0 * dp_tp - dt_pp) + ipp * dp_pp))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import calculus as calc
-from .embedding import (WeylSolver, admissible_graph_metric, extract_geometry,
-                        graph_embedding)
+from .embedding import (EmbeddingR3, WeylSolver, admissible_graph_metric,
+                        extract_geometry, graph_embedding, lift_graph)
 from .errors import GeometryError, PreconditionError
 from .fields import Metric2, OneForm, ScalarField, same_grid, worst_node
 
@@ -149,16 +149,50 @@ class EnergyWorkspace:
 
     def _build_state(self, sigma, tau):
         # graph_embedding raises AdmissibilityError on a non-convex graph
-        # metric; it carries sigma_hat, dtau and, as the time component of its
-        # mean-curvature vector, the Laplacian of tau.
-        graph = graph_embedding(sigma, tau.tau, self.solver)
-        geom = extract_geometry(graph.space)
-        return {
-            "graph": graph,
-            "geom": geom,
-            "w": _graph_w(sigma, graph.dtau),
-            "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
-        }
+        # metric.
+        return _lifted_state(sigma, graph_embedding(sigma, tau.tau, self.solver))
+
+    def tangent_states(self, sigma, tau, directions, step):
+        """Per row v of ``directions`` (K, n_theta, n_phi), the pairs
+        (time function, graph state) at tau + ``step`` v and tau - ``step`` v.
+
+        With X the embedding of the state at tau, the state at tau + s v is
+        lifted from X + s dX, where dX is the :meth:`WeylSolver.tangent` for
+        the graph-metric change dtau (x) dv + dv (x) dtau. Nothing is solved,
+        so the probes' graph metrics are not checked for convexity, and these
+        states are neither cached nor seen by the solver.
+        """
+        graph = self.graph_state(sigma, tau)["graph"]
+        t = sigma.grid.transform
+        a_t, a_p = graph.dtau.a_theta, graph.dtau.a_phi
+        v_t, v_p = t.dtheta(directions, 0), t.dphi(directions)
+        deltas = np.stack([2.0 * a_t * v_t, a_t * v_p + a_p * v_t,
+                           2.0 * a_p * v_p], axis=1)
+        space = graph.space
+        for v, dx in zip(directions, self.solver.tangent(space, deltas)):
+            yield tuple(_moved_state(sigma, TimeFunction(tau.tau + v * s),
+                                     space.xyz + dx * s, space.l_max)
+                        for s in (step, -step))
+
+
+def _moved_state(sigma, tau, xyz, l_max):
+    """(tau, graph state) on the spatial coordinates ``xyz``; nothing is
+    solved on the graph metric, so its convexity goes unchecked."""
+    dtau = calc.gradient(sigma, tau.tau)
+    sigma_hat = calc.metric_add_dtau(sigma, dtau)
+    space = EmbeddingR3.approximating(sigma_hat, xyz, l_max)
+    return tau, _lifted_state(sigma, lift_graph(sigma, dtau, sigma_hat, space))
+
+
+def _lifted_state(sigma, graph):
+    """The graph, its spatial geometry, w and total reference curvature."""
+    geom = extract_geometry(graph.space)
+    return {
+        "graph": graph,
+        "geom": geom,
+        "w": _graph_w(sigma, graph.dtau),
+        "reference": calc.integrate(graph.sigma_hat, geom.mean_curvature),
+    }
 
 
 def _newton_tensor(sigma_hat, geom):
@@ -277,7 +311,12 @@ def euler_lagrange_residual(data, tau, *, workspace):
     Vanishes at critical time functions; for data with divergence-free
     connection form it vanishes identically at tau = 0.
     """
-    state = workspace.graph_state(data.sigma, tau)
+    return _state_residual(data, tau, workspace.graph_state(data.sigma, tau))
+
+
+def _state_residual(data, tau, state):
+    """:func:`euler_lagrange_residual` of (data, tau) on the graph state
+    ``state``, such as one of :meth:`EnergyWorkspace.tangent_states`."""
     sigma = data.sigma
     graph = state["graph"]
     w = state["w"]

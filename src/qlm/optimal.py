@@ -4,9 +4,11 @@
 harmonics (mean mode frozen at zero), using the Euler-Lagrange residual as
 the exact gradient and a trust-region quasi-Newton iteration with symmetric
 rank-two curvature updates. ``hessian_check`` assembles the reduced second
-variation by differencing the residual; ``comparison_check`` evaluates the
-energy-comparison inequality around a critical point with positive mass
-density.
+variation by central differences of the residual. Its probes do not re-solve
+the Weyl problem: each moves the critical embedding along its tangent, so a
+check costs one normal-matrix factorization (degree <= ``L_P``) and no
+nonlinear solve. ``comparison_check`` evaluates the energy-comparison
+inequality around a critical point with positive mass density.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from . import calculus as calc
 from .catalog import surface_data_from_embedding
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .fields import ScalarField
-from .functionals import (TimeFunction, euler_lagrange_residual, mass_density,
+from .functionals import (TimeFunction, _state_residual,
+                          euler_lagrange_residual, mass_density,
                           wang_yau_energy)
 
 __all__ = [
@@ -48,7 +51,12 @@ class OptimalSolveResult:
 
 def _gradient(data, basis, tau, workspace):
     """(Coefficient-space gradient, L2 residual norm) of the energy at tau."""
-    residual = euler_lagrange_residual(data, tau, workspace=workspace)
+    return _projected(data, basis,
+                      euler_lagrange_residual(data, tau, workspace=workspace))
+
+
+def _projected(data, basis, residual):
+    """(Coefficient-space gradient, L2 norm) of an Euler-Lagrange residual."""
     weighted = calc.area_weights(data.sigma) * residual.values
     grad = basis.project(weighted) / (8.0 * np.pi)
     norm = float(np.sqrt(np.sum(weighted * residual.values)))
@@ -191,26 +199,32 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     returned. The base point is ``tau_star`` itself, not its projection onto
     the probe basis, so critical points with content above the probe degree
     are differenced where they are actually critical.
+
+    The probe at tau* + s v, s = +-``FD_STEP``, is evaluated on the
+    embedding X* + s dX, where dX is the tangent of the Weyl solution map
+    (:meth:`EnergyWorkspace.tangent_states`), instead of on a re-solved
+    X(tau* + s v). The two differ by the same O(s^2) term for both signs,
+    which the central difference cancels, so the error stays O(FD_STEP^2).
+    All tangents share one factorization of the Gauss-Newton normal matrix
+    at X* (conjugate gradients above degree ``L_P``); no Weyl solve runs
+    beyond the one for tau* itself, and the probes leave the workspace's
+    cache and warm start untouched.
     """
     if n_modes < 1:
         raise PreconditionError(f"hessian needs at least one mode, got {n_modes}")
-    grid = data.grid
-    basis = grid.basis(_probe_degree(n_modes), lmin=1)
-
-    def gradient_at(values):
-        tau = TimeFunction(ScalarField(grid, values))
-        return _gradient(data, basis, tau, workspace)
-
-    _, res0 = gradient_at(tau_star.tau.values)
+    basis = data.grid.basis(_probe_degree(n_modes), lmin=1)
+    _, res0 = _gradient(data, basis, tau_star, workspace)
     if res0 > residual_tol:
         raise PreconditionError(
             f"hessian requested away from a critical point "
             f"(residual {res0:.2e} > {residual_tol:.1e})")
 
+    directions = basis.synthesize(np.eye(basis.n_modes)[:n_modes])
     cols = []
-    for direction in basis.synthesize(np.eye(basis.n_modes)[:n_modes]):
-        g_plus, _ = gradient_at(tau_star.tau.values + FD_STEP * direction)
-        g_minus, _ = gradient_at(tau_star.tau.values - FD_STEP * direction)
+    for plus, minus in workspace.tangent_states(data.sigma, tau_star,
+                                                directions, FD_STEP):
+        g_plus, g_minus = (_projected(data, basis, _state_residual(data, *p))[0]
+                           for p in (plus, minus))
         cols.append((g_plus - g_minus)[:n_modes] / (2.0 * FD_STEP))
     raw = np.array(cols).T
     return HessianReport(

@@ -5,6 +5,8 @@ embedding machinery: parametric-surface quantities come from hand-derived
 closed-form derivatives on a quadrature grid constructed directly from
 numpy's Gauss-Legendre nodes, and the axisymmetric Jang evaluator computes
 its Christoffel symbols by finite differences of the metric components.
+The one exception is :func:`resolving_hessian`, the package's second
+variation computed the slow way: every probe re-solves the Weyl problem.
 """
 
 import numpy as np
@@ -201,3 +203,30 @@ def dense_normal_matrix(basis, x, xt, xp, w_tt, w_tp, w_pp):
                               for i in range(3)])
         jtj += gamma2 * np.outer(row, row)
     return jtj
+
+
+def resolving_hessian(data, tau_star, n_modes, workspace, step=1e-4):
+    """Eigenvalues of the reduced second variation at ``tau_star`` by full
+    re-solves: central differences of the Euler-Lagrange residual at
+    tau* +- step v, where each probe solves the Weyl problem of its own graph
+    metric through ``workspace`` (and enters its cache). The probes v are the
+    first ``n_modes`` harmonics without constants, as in ``hessian_check``.
+    """
+    from qlm.fields import ScalarField
+    from qlm.functionals import TimeFunction
+    from qlm.optimal import _gradient, _probe_degree
+
+    grid = data.grid
+    basis = grid.basis(_probe_degree(n_modes), lmin=1)
+
+    def gradient_at(values):
+        tau = TimeFunction(ScalarField(grid, values))
+        return _gradient(data, basis, tau, workspace)[0]
+
+    cols = []
+    for direction in basis.synthesize(np.eye(basis.n_modes)[:n_modes]):
+        g_plus = gradient_at(tau_star.tau.values + step * direction)
+        g_minus = gradient_at(tau_star.tau.values - step * direction)
+        cols.append((g_plus - g_minus)[:n_modes] / (2.0 * step))
+    raw = np.array(cols).T
+    return np.linalg.eigvalsh(0.5 * (raw + raw.T))

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_band_limited
+from conftest import CUT_BUMP, random_band_limited
 from qlm import calculus as calc
 from qlm import functionals
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
-                         minkowski_surface_data, schwarzschild_sphere_data)
+                         minkowski_surface_data, schwarzschild_sphere_data,
+                         surface_data_from_embedding)
+from qlm.embedding import L_P
 from qlm.errors import AdmissibilityError, GeometryError, PreconditionError
 from qlm.fields import Metric2, OneForm, ScalarField, SymTensor2
 from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
@@ -409,6 +411,46 @@ def test_variation_of_total_mean_curvature(grid32):
                                     workspace=ws32).reference_term)
     fd = (refs[0] - refs[1]) / (2 * eps) * 8 * np.pi
     assert abs(fd - predicted) <= 1e-4 * abs(fd)
+
+
+def spot_cut(grid, height, steepness):
+    """(data, time function) of the light-cone cut t = |x| = f with
+    f = exp(height exp(steepness (cos(theta) - 1)))."""
+    f = np.exp(height * np.exp(steepness * (np.cos(grid.nodes[0]) - 1.0)))
+    return surface_data_from_embedding(
+        grid, np.concatenate([f[None], f * grid.unit_sphere]))
+
+
+@pytest.mark.parametrize("surface, weyl_tol, direct", [
+    ("bump", 1e-11, True),      # base embedding at degree 18: Cholesky
+    ("spot", 1e-9, False),      # degree 21: conjugate gradients
+])
+def test_tangent_states_follow_the_first_variation(grid32, lightcone32,
+                                                   surface, weyl_tol, direct):
+    # Along X +- eps dX over the graph metrics of tau bar +- eps v, the total
+    # reference mean curvature changes at the closed-form first variation
+    # for the metric change dtau (x) dv + dv (x) dtau.
+    if surface == "bump":
+        data, tau = lightcone32.data, lightcone32.tau_bar
+    else:
+        data, tau = spot_cut(grid32, 0.1, 4.0)
+    ws = EnergyWorkspace(grid32, weyl_tol=weyl_tol)
+    graph = ws.graph_state(data.sigma, tau)["graph"]
+    assert (graph.space.l_max <= L_P) == direct
+    v = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0, (3, 1, 1): 0.5}).tau
+    eps = 1e-4
+    (_, plus), (_, minus) = next(ws.tangent_states(data.sigma, tau,
+                                                   v.values[None], eps))
+    fd = (plus["reference"] - minus["reference"]) / (2.0 * eps)
+
+    dv = calc.gradient(data.sigma, v)
+    a = graph.dtau
+    delta = SymTensor2(grid32, 2.0 * a.a_theta * dv.a_theta,
+                       a.a_theta * dv.a_phi + a.a_phi * dv.a_theta,
+                       2.0 * a.a_phi * dv.a_phi)
+    exact = total_mean_curvature_variation(graph.sigma_hat, delta,
+                                           workspace=ws)
+    assert abs(fd - exact) <= 1e-6 * abs(exact)
 
 
 def extract_geometry_mean(emb):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 from conftest import random_band_limited
+from oracles import resolving_hessian
 from qlm import calculus as calc
+from qlm.catalog import MinkowskiSurfaceSpec, minkowski_surface_data
+from qlm.embedding import L_P, WeylSolver
 from qlm.errors import ConvergenceError, PreconditionError
 from qlm.fields import Metric2, ScalarField
 from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
                              byly_mass, wang_yau_energy)
-from qlm.optimal import comparison_check, hessian_check, solve_optimal
+from qlm.optimal import (FD_STEP, comparison_check, hessian_check,
+                         solve_optimal)
 
 BYLY_M1_R4 = 4.0 * (1.0 - np.sqrt(0.5))
 OPTS = {"tol": 1e-8, "l_max_tau": 10}
@@ -170,3 +174,74 @@ def test_trust_region_collapse_raises(grid32):
                       tol=1e-9, l_max_tau=6, max_iter=120)
     assert "trust" in str(err.value)
     assert "residual_norm" in err.value.diagnostics
+
+
+@pytest.fixture(scope="module")
+def nontrivial_critical(grid32, schw32):
+    """Data with a gradient-type connection form and its critical point,
+    whose content exceeds the probe basis (as in
+    test_nontrivial_critical_point)."""
+    pot = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0, (3, 1, 1): 0.4}).tau
+    alpha = calc.gradient(schw32.data.sigma, pot * 0.08)
+    data = SurfaceData(schw32.data.sigma, schw32.data.h_norm, alpha)
+    result = solve_optimal(data, TimeFunction.zero(grid32),
+                           workspace=EnergyWorkspace(grid32, weyl_tol=1e-11),
+                           tol=1e-8, l_max_tau=12)
+    return data, result.tau_star
+
+
+@pytest.mark.parametrize("case", ["schwarzschild", "flat", "nontrivial",
+                                  "lightcone"])
+def test_hessian_matches_the_resolving_oracle(grid32, schw32, lightcone32,
+                                              schw_critical,
+                                              nontrivial_critical, case):
+    # The tangent Hessian against full Weyl re-solves at every probe. The
+    # last two cases have dtau* != 0 (up to 0.10 and 0.135), where freezing
+    # the embedding instead of moving it along its tangent is off by 8e-5
+    # and 4e-3 of the largest eigenvalue.
+    if case == "schwarzschild":
+        data, tau = schw32.data, schw_critical[1].tau_star
+    elif case == "flat":
+        data = minkowski_surface_data(
+            MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.0)), grid32).data
+        tau = TimeFunction.zero(grid32)
+    elif case == "nontrivial":
+        data, tau = nontrivial_critical
+    else:
+        data, tau = lightcone32.data, lightcone32.tau_bar
+    report = hessian_check(data, tau, n_modes=15,
+                         workspace=EnergyWorkspace(grid32, weyl_tol=1e-11))
+    oracle = resolving_hessian(data, tau, 15,
+                               EnergyWorkspace(grid32, weyl_tol=1e-11))
+    scale = np.max(np.abs(oracle))
+    assert np.max(np.abs(report.eigenvalues - oracle)) <= 1e-6 * scale
+
+
+def test_hessian_check_solves_nothing_and_leaves_the_workspace(
+        grid32, lightcone32, monkeypatch):
+    data, tau = lightcone32.data, lightcone32.tau_bar
+    ws = EnergyWorkspace(grid32, weyl_tol=1e-11)
+    wang_yau_energy(data, tau, workspace=ws)         # caches the base state
+    assert ws.graph_state(data.sigma, tau)["graph"].space.l_max <= L_P
+    keys, warm = list(ws._states), ws.solver._warm
+
+    calls = {"solve": 0, "_factorize": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(WeylSolver, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(WeylSolver, name, counted)
+    hessian_check(data, tau, n_modes=3, workspace=ws)
+    monkeypatch.undo()
+    assert calls == {"solve": 0, "_factorize": 1}
+    assert list(ws._states) == keys
+    assert ws.solver._warm is warm
+
+    # A probe point evaluates as in a fresh workspace: no probe state
+    # answers for it from the cache.
+    probe = TimeFunction(tau.tau + grid32.basis(1, lmin=1).synthesize(
+        np.eye(3)[0]) * FD_STEP)
+    fresh = EnergyWorkspace(grid32, weyl_tol=1e-11)
+    assert abs(wang_yau_energy(data, probe, workspace=ws).energy
+               - wang_yau_energy(data, probe, workspace=fresh).energy) <= 1e-12
