@@ -246,10 +246,11 @@ class WeylSolver:
         return (self._gradient(basis, xt, xp, lin)
                 + gamma2 * (rows.T @ (rows @ v)))
 
-    def _krylov_step(self, basis, x, xt, xp, g, forcing=KRYLOV_FORCING):
+    def _krylov_step(self, basis, xt, xp, normal, g, forcing=KRYLOV_FORCING):
         """Jacobi-preconditioned CG for the normal equations with right-hand
-        side ``g``, to a residual of ``forcing`` times |g|."""
-        diag, gamma2, rows = self._normal_diagonal(basis, x, xt, xp)
+        side ``g``, to a residual of ``forcing`` times |g|. ``normal`` is
+        the ``_normal_diagonal`` at (x, xt, xp)."""
+        diag, gamma2, rows = normal
         step, r = np.zeros_like(g), g.copy()
         d = r / diag
         rz = r @ d
@@ -307,8 +308,11 @@ class WeylSolver:
                     self._normal_matrix(basis, x, xt, xp))
                 self._factor_l = basis.lmax
             g = self._gradient(basis, xt, xp, res)
-            step = (self._krylov_step(basis, x, xt, xp, g) if krylov else
-                    scipy.linalg.cho_solve(self._factor, g, check_finite=False))
+            if krylov:
+                step = self._krylov_step(
+                    basis, xt, xp, self._normal_diagonal(basis, x, xt, xp), g)
+            else:
+                step = scipy.linalg.cho_solve(self._factor, g, check_finite=False)
             step = step.reshape(3, -1)
 
             improved = False
@@ -401,14 +405,16 @@ class WeylSolver:
         Each solves the linearized isometry equation in ``space``'s degree:
         (J^T W J + gamma^2 R^T R) dc = J^T W delta at ``space``. Up to ``L_P``
         all share one factorization; above it each is a conjugate-gradient
-        solve to ``TANGENT_FORCING``. Warm iterate and held factor are kept.
+        solve to ``TANGENT_FORCING`` sharing one Jacobi diagonal. Warm iterate
+        and held factor are kept.
         """
         basis = self.grid.basis(space.l_max, lmin=1)
         x = space.xyz
         xt, xp = space.tangents
         rhs = self._gradient(basis, xt, xp, deltas.swapaxes(0, 1))
         if basis.lmax > L_P:
-            steps = np.stack([self._krylov_step(basis, x, xt, xp, g,
+            normal = self._normal_diagonal(basis, x, xt, xp)
+            steps = np.stack([self._krylov_step(basis, xt, xp, normal, g,
                                                 TANGENT_FORCING) for g in rhs])
         else:
             factor = self._factorize(self._normal_matrix(basis, x, xt, xp))

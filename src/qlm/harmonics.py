@@ -181,8 +181,13 @@ class RealHarmonicBasis:
     is cos(m phi) and q = 2m is sin(m phi). The basis keeps only these
     factors: the rows ``p`` and their theta-derivatives ``dp``, each
     n_theta x M, and the functions ``azim`` and their phi-derivatives
-    ``dazim``, each n_phi x (2 lmax + 1). Synthesis, projection and weighted
-    Gram matrices contract with them one axis at a time and never form an
+    ``dazim``, each n_phi x Q with Q = 2 lmax + 1. The rows are kept a
+    second time, zero-padded, as slabs Q x G x n_theta with
+    G = lmax - lmin + 1: column c sits in slot (q, l - lmin). Synthesis
+    scatters the coefficients into the slots, takes one batched product
+    with the slabs (O(Q G n_theta) per field) and one product with the
+    azimuthal functions (O(n_theta Q n_phi)); projection is the same two
+    products transposed, then a gather by slot. Neither forms an
     n_nodes x M matrix. The basis is orthonormal for the round measure, so
     analysis is a weighted projection.
 
@@ -209,7 +214,7 @@ class RealHarmonicBasis:
                   for m in range(lmax + 1)]
         self.p = np.stack([tables[m][0][ell - m] for ell, m, _ in self.modes], axis=1)
         self.dp = np.stack([tables[m][1][ell - m] for ell, m, _ in self.modes], axis=1)
-        _, m, kind = np.array(self.modes).T
+        ell, m, kind = np.array(self.modes).T
         self.azimuth = np.where(m == 0, 0, 2 * m - 1 + kind)
 
         # Azimuthal function q has order (q + 1) // 2; odd q is the cosine.
@@ -224,13 +229,19 @@ class RealHarmonicBasis:
         self.azim[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
         self.dazim[:, 0] = 0.0
 
-        # Columns grouped by azimuthal function, each group in degree order.
-        self._by_azimuth = np.argsort(self.azimuth, kind="stable")
-        self._group_starts = np.searchsorted(self.azimuth[self._by_azimuth], q)
-        self._columns = np.split(self._by_azimuth, self._group_starts[1:])
-        self._factors = {None: (self.p, self.azim),
-                         "theta": (self.dp, self.azim),
-                         "phi": (self.p, self.dazim)}
+        # Columns grouped by azimuthal function, each group in degree order,
+        # and each column's slot in the padded slabs.
+        self._columns = [np.flatnonzero(self.azimuth == k) for k in q]
+        width = lmax - lmin + 1
+        self._slot = self.azimuth * width + ell - lmin
+        slabs = []
+        for rows in (self.p, self.dp):
+            slab = np.zeros((len(q) * width, transform.n_theta))
+            slab[self._slot] = rows.T
+            slabs.append(slab.reshape(len(q), width, -1))
+        self._factors = {None: (slabs[0], self.azim),
+                         "theta": (slabs[1], self.azim),
+                         "phi": (slabs[0], self.dazim)}
 
     @property
     def n_modes(self):
@@ -253,18 +264,25 @@ class RealHarmonicBasis:
         ``derivative`` is None for the field itself, "theta" or "phi" for
         that partial derivative of it.
         """
-        colatitude, azimuthal = self._factors[derivative]
-        order = self._by_azimuth
-        rows = np.add.reduceat(colatitude[:, order] * coeffs[..., None, order],
-                               self._group_starts, axis=-1)
-        return rows @ azimuthal.T
+        slabs, azimuthal = self._factors[derivative]
+        n_azim, width, n_theta = slabs.shape
+        flat = coeffs.reshape(-1, coeffs.shape[-1])
+        padded = np.zeros((n_azim * width, len(flat)))
+        padded[self._slot] = flat.T
+        # rows[q, k, t]: field k's colatitude row of azimuthal function q.
+        rows = padded.reshape(n_azim, width, -1).swapaxes(1, 2) @ slabs
+        fields = rows.transpose(1, 2, 0) @ azimuthal.T
+        return fields.reshape(coeffs.shape[:-1] + (n_theta, -1))
 
     def project(self, values, derivative=None):
         """Transpose of :meth:`synthesize`: node sums of each column times
         ``values`` (..., n_theta, n_phi), with no quadrature weights."""
-        colatitude, azimuthal = self._factors[derivative]
-        rows = values @ azimuthal
-        return (colatitude * rows[..., self.azimuth]).sum(axis=-2)
+        slabs, azimuthal = self._factors[derivative]
+        rows = values.reshape((-1,) + values.shape[-2:]) @ azimuthal
+        # sums[q, g, k]: slot (q, g) against field k.
+        sums = slabs @ rows.transpose(2, 1, 0)
+        return sums.reshape(-1, sums.shape[-1])[self._slot].T.reshape(
+            values.shape[:-2] + (-1,))
 
     def analyze(self, values):
         """Round-measure projection of fields (..., n_theta, n_phi) onto the basis."""

@@ -8,7 +8,7 @@ from qlm import functionals
 from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                          minkowski_surface_data, schwarzschild_sphere_data,
                          surface_data_from_embedding)
-from qlm.embedding import L_P
+from qlm.embedding import L_P, TANGENT_FORCING
 from qlm.errors import AdmissibilityError, GeometryError, PreconditionError
 from qlm.fields import Metric2, OneForm, ScalarField, SymTensor2
 from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
@@ -451,6 +451,42 @@ def test_tangent_states_follow_the_first_variation(grid32, lightcone32,
     exact = total_mean_curvature_variation(graph.sigma_hat, delta,
                                            workspace=ws)
     assert abs(fd - exact) <= 1e-6 * abs(exact)
+
+
+def test_tangent_shares_one_jacobi_diagonal(grid32, monkeypatch):
+    # Above L_P every direction's conjugate-gradient solve reuses one
+    # diagonal build, and gets the tangent of a build of its own.
+    data, tau = spot_cut(grid32, 0.1, 4.0)
+    ws = EnergyWorkspace(grid32, weyl_tol=1e-9)
+    graph = ws.graph_state(data.sigma, tau)["graph"]
+    assert graph.space.l_max == 21 > L_P
+    a = graph.dtau
+    deltas = []
+    for field in random_band_limited(grid32, 3, lmax=4, seed=5):
+        dv = calc.gradient(data.sigma, field)
+        deltas.append([2.0 * a.a_theta * dv.a_theta,
+                       a.a_theta * dv.a_phi + a.a_phi * dv.a_theta,
+                       2.0 * a.a_phi * dv.a_phi])
+    deltas = np.array(deltas)
+    solver = ws.solver
+    builds = []
+    original = solver._normal_diagonal
+
+    def counted(*args):
+        builds.append(1)
+        return original(*args)
+    monkeypatch.setattr(solver, "_normal_diagonal", counted)
+    shared = solver.tangent(graph.space, deltas)
+    assert len(builds) == 1
+
+    basis = grid32.basis(graph.space.l_max, lmin=1)
+    x, (xt, xp) = graph.space.xyz, graph.space.tangents
+    rhs = solver._gradient(basis, xt, xp, deltas.swapaxes(0, 1))
+    steps = [solver._krylov_step(basis, xt, xp,
+                                 original(basis, x, xt, xp), g, TANGENT_FORCING)
+             for g in rhs]
+    own = basis.synthesize(np.reshape(steps, (len(rhs), 3, -1)))
+    assert np.array_equal(shared, own)
 
 
 def extract_geometry_mean(emb):

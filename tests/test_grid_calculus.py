@@ -238,6 +238,36 @@ def test_basis_matches_per_column_formula():
         grid.basis(-1)
 
 
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (17, 36), (12, 30),
+                                            (16, 20)])
+def test_padded_kernels_match_dense_and_are_adjoint(n_theta, n_phi):
+    # Odd and non-2:1 grids, degrees up to the full support, 0-2 leading
+    # axes: synthesize is the dense node product and project its adjoint.
+    grid = sphere_grid(n_theta, n_phi)
+    support = min(n_theta - 1, n_phi // 2 - 1)
+    rng = np.random.default_rng(n_theta * n_phi)
+    for lmin in (0, 1):
+        for lmax in (max(lmin, 2), support // 2, support):
+            basis = grid.basis(lmax, lmin)
+            dense = {None: basis.values, "theta": basis.d_theta,
+                     "phi": basis.d_phi}
+            for lead in ((), (3,), (2, 3)):
+                coeffs = rng.standard_normal(lead + (basis.n_modes,))
+                values = rng.standard_normal(lead + grid.shape)
+                for derivative, matrix in dense.items():
+                    got = basis.synthesize(coeffs, derivative)
+                    want = (coeffs @ matrix.T).reshape(got.shape)
+                    assert got.shape == lead + grid.shape
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                    projected = basis.project(values, derivative)
+                    assert projected.shape == coeffs.shape
+                    # Relative to the sum of |terms|, the scale of the
+                    # rounding in any order of summation.
+                    terms = got * values
+                    right = np.sum(coeffs * projected)
+                    assert abs(terms.sum() - right) <= 1e-13 * np.abs(terms).sum()
+
+
 def test_field_validation(grid32):
     with pytest.raises(InvalidFieldError):
         ScalarField(grid32, np.zeros((3, 3)))
