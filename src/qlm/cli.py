@@ -18,10 +18,10 @@ import sys
 # Bounds of --resolution n, for an n x 2n grid. n = 9 is the coarsest grid
 # whose harmonic support n - 1 holds the Weyl solver's full degree floor of 8
 # (embedding.WeylSolver.l_cap); coarser data files still solve, with the cap
-# clipped to n - 1, but the CLI does not generate them. Peak memory is set by
-# the (3M)^2 Gauss-Newton normal matrix at the final degree L, M = (L+1)^2 - 1:
-# a sharp light-cone cut peaks at 234 MiB at n = 48 and 281 MiB at n = 72, and
-# a solve at the n = 72 degree cap (L = 48) would need about 0.6 GiB.
+# clipped to n - 1, but the CLI does not generate them. The largest matrix the
+# Weyl solver forms is the (3M)^2 normal matrix of degree 18, M = 360 (9 MiB);
+# above it the solver holds only vectors and grid fields. A sharp light-cone
+# cut peaks at 82 MiB at n = 48 (L = 32) and 89 MiB at n = 72 (L = 34).
 RESOLUTION_MIN = 9
 RESOLUTION_MAX = 72
 

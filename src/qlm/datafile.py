@@ -65,13 +65,19 @@ def save_surface_data(path, data, tau=None, metadata=None):
 
 
 def _require(doc, key, path):
+    if not isinstance(doc, dict):
+        raise InputFileError(f"{path}: expected an object holding {key!r}")
     if key not in doc:
         raise InputFileError(f"{path}: missing key {key!r}")
     return doc[key]
 
 
 def _array(grid, raw, name, path):
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise InputFileError(
+            f"{path}: field {name!r} is not an array of numbers: {exc}") from exc
     if arr.size != grid.n_theta * grid.n_phi:
         raise InputFileError(
             f"{path}: field {name!r} has {arr.size} entries, expected "

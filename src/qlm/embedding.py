@@ -3,8 +3,9 @@
 ``WeylSolver`` finds coordinate functions X with <dX, dX> = sigma_hat for a
 positive-curvature metric by Gauss-Newton iteration on real harmonic
 coefficients, started from an area-matched round sphere or, when it fits
-the metric better, from the previous solution. Steps above a small degree
-are conjugate-gradient solves that never form the normal matrix. The
+the metric better, from the previous solution. Each step is a
+conjugate-gradient solve, preconditioned by a held Cholesky factor of the
+normal matrix up to a small degree and by its diagonal above it. The
 rigid-motion kernel is removed by excluding the degree-0 modes
 (translations) and penalizing the three infinitesimal rotations of the
 current iterate.
@@ -92,9 +93,10 @@ class EmbeddedGeometry:
 
 L_START = 10              # harmonic degree a cold solve starts from
 MAX_GN_ITER = 25          # Gauss-Newton steps per degree
-FLOOR_GAIN = 1e-3         # a fresh-factor step gaining less than this share
-                          # of the objective has reached the truncation floor
+FLOOR_GAIN = 1e-3         # a step gaining less than this share of the
+                          # objective has reached the truncation floor
 L_P = 18                  # highest degree whose normal matrix is factored
+K_REFACTOR = 8            # products past which a solve factors at its point
 KRYLOV_FORCING = 1e-3     # relative residual of a conjugate-gradient step
 TANGENT_FORCING = 1e-10   # relative residual of a conjugate-gradient tangent
 
@@ -114,12 +116,12 @@ def _area_centroid(xyz, sigma):
 class WeylSolver:
     """Stateful isometric-embedding solver with warm restarts.
 
-    One instance per grid. A solve starts from the previous solution, and
-    reuses its normal-matrix factorization, only when that iterate fits the
-    new metric better than the round sphere does: warm starts pay off for
-    nearby metrics, and unrelated ones solve cold. Instances are
-    single-threaded state machines: share inputs and outputs freely (both
-    are immutable), but give each concurrent solve its own instance.
+    One instance per grid. A solve starts from the previous solution only
+    when that iterate fits the new metric better than the round sphere
+    does: warm starts pay off for nearby metrics, and unrelated ones solve
+    cold. Instances are single-threaded state machines: share inputs and
+    outputs freely (both are immutable), but give each concurrent solve its
+    own instance.
 
     ``tol`` is the relative max-node isometry residual to reach. Cold solves
     start at degree ``L_START``; the degree cap ``l_cap``, 2/3 of the grid
@@ -127,18 +129,21 @@ class WeylSolver:
     what the grid resolves: degree n_theta - 1 in colatitude and order
     n_phi / 2 - 1 in longitude.
 
-    Up to degree ``L_P`` each Gauss-Newton step solves the normal equations
-    by a Cholesky factorization of the normal matrix. Above it the (3M)^2
-    matrix is never formed: each step is a Jacobi-preconditioned conjugate
-    gradient solve to a relative residual of ``KRYLOV_FORCING``, built from
-    matrix-free products, and no factor is held. ``krylov_iterations`` of
-    the result counts those products.
+    Every Gauss-Newton step, and every ``tangent`` direction, is one
+    preconditioned conjugate-gradient solve of the normal equations built
+    from matrix-free products, to a relative residual of ``KRYLOV_FORCING``
+    (``TANGENT_FORCING`` for a tangent). ``krylov_iterations`` of the result
+    counts those products. The preconditioner is a held Cholesky factor of
+    the normal matrix when one of the step's degree is held, and the Jacobi
+    diagonal otherwise. Up to degree ``L_P``, a solve that needs more than
+    ``K_REFACTOR`` products factors the normal matrix at its point; the
+    factor is kept across steps and solves until a step of another degree
+    drops it. Above ``L_P`` the (3M)^2 matrix is never formed.
 
-    Gauss-Newton stops at a truncation floor: once a step taken with a fresh
-    factorization, or by conjugate gradients, lowers the objective by less
-    than ``FLOOR_GAIN`` of itself, the degree cannot do better. A floor
-    below the cap grows the degree; a floor at the cap fails the solve at
-    once.
+    Gauss-Newton stops at a truncation floor: once a step lowers the
+    objective by less than ``FLOOR_GAIN`` of itself, the degree cannot do
+    better. A floor below the cap grows the degree; a floor at the cap fails
+    the solve at once.
     """
 
     def __init__(self, grid, tol=1e-8):
@@ -147,8 +152,7 @@ class WeylSolver:
         self.l_cap = min(max(8, (2 * grid.n_theta) // 3), grid.n_theta - 1,
                          grid.n_phi // 2 - 1)
         self._warm = None           # (basis, coefficients) of the last solve
-        self._factor = None
-        self._factor_l = None
+        self._factor = None         # (degree, Cholesky factor) preconditioner
         self._krylov_iterations = 0
         w = grid.quad_weights
         sin2 = grid.sin_theta[:, None] ** 2
@@ -247,12 +251,21 @@ class WeylSolver:
                 + gamma2 * (rows.T @ (rows @ v)))
 
     def _krylov_step(self, basis, xt, xp, normal, g, forcing=KRYLOV_FORCING):
-        """Jacobi-preconditioned CG for the normal equations with right-hand
-        side ``g``, to a residual of ``forcing`` times |g|. ``normal`` is
-        the ``_normal_diagonal`` at (x, xt, xp)."""
+        """Preconditioned CG for the normal equations with right-hand side
+        ``g``, to a residual of ``forcing`` times |g|. ``normal`` is the
+        ``_normal_diagonal`` at (x, xt, xp). The preconditioner is the held
+        Cholesky factor when it is of this degree, else the Jacobi diagonal."""
         diag, gamma2, rows = normal
+        if self._factor is not None and self._factor[0] == basis.lmax:
+            factor = self._factor[1]
+
+            def precondition(r):
+                return scipy.linalg.cho_solve(factor, r, check_finite=False)
+        else:
+            def precondition(r):
+                return r / diag
         step, r = np.zeros_like(g), g.copy()
-        d = r / diag
+        d = precondition(r)
         rz = r @ d
         stop = forcing * np.linalg.norm(g)
         for _ in range(g.size):         # the exact-arithmetic bound
@@ -263,9 +276,25 @@ class WeylSolver:
             alpha = rz / (d @ q)
             step += alpha * d
             r -= alpha * q
-            z = r / diag
+            z = precondition(r)
             rz, rz_old = r @ z, rz
             d = z + (rz / rz_old) * d
+        return step
+
+    def _step(self, basis, x, xt, xp, normal, g, forcing=KRYLOV_FORCING):
+        """``_krylov_step`` under the refactor rule. A held factor of another
+        degree is dropped first; at degree <= ``L_P``, a solve that needs
+        more than ``K_REFACTOR`` products factors the normal matrix at x,
+        and that factor preconditions the solves after it."""
+        if self._factor is not None and self._factor[0] != basis.lmax:
+            self._factor = None
+        before = self._krylov_iterations
+        step = self._krylov_step(basis, xt, xp, normal, g, forcing)
+        if (basis.lmax <= L_P
+                and self._krylov_iterations - before > K_REFACTOR):
+            self._factor = None         # free the old factor first
+            self._factor = (basis.lmax, self._factorize(
+                self._normal_matrix(basis, x, xt, xp)))
         return step
 
     def _factorize(self, jtj):
@@ -282,63 +311,35 @@ class WeylSolver:
     def _gauss_newton(self, coeffs, basis, target, tol):
         """Iterate to ``tol``; returns (coeffs, coordinates x, rel, ok).
 
-        Ends early, with ``ok`` false unless ``tol`` is met, when six
-        dampings of a step all fail or when a step taken with a fresh factor
+        Each step is one ``_step``. Ends early, with ``ok`` false unless
+        ``tol`` is met, when six dampings of a step all fail or when a step
         gains less than ``FLOOR_GAIN`` of the objective (the truncation
-        floor). With a stale factor, a step gaining less than 99% triggers
-        a refactorization instead. A factor is stale when one of this
-        degree is held from an earlier solve. Above degree ``L_P`` any held
-        factor is freed and every step is a conjugate-gradient solve
-        (``_krylov_step``), which counts as a fresh-factor step.
+        floor).
         """
         x, xt, xp = self._fields(basis, coeffs)
         res = self._residual(xt, xp, target)
         obj = self._objective(res)
         rel = _max_rel(res, target)
-        krylov = basis.lmax > L_P
-        if krylov:
-            self._factor = None
-        stale = self._factor is not None and self._factor_l == basis.lmax
         for _ in range(MAX_GN_ITER):
             if rel < tol:
-                return coeffs, x, rel, True
-            if not (stale or krylov):
-                self._factor = None     # free the old factor first
-                self._factor = self._factorize(
-                    self._normal_matrix(basis, x, xt, xp))
-                self._factor_l = basis.lmax
-            g = self._gradient(basis, xt, xp, res)
-            if krylov:
-                step = self._krylov_step(
-                    basis, xt, xp, self._normal_diagonal(basis, x, xt, xp), g)
-            else:
-                step = scipy.linalg.cho_solve(self._factor, g, check_finite=False)
-            step = step.reshape(3, -1)
-
-            improved = False
-            damp = 1.0
-            for _ in range(6):
+                break
+            step = self._step(basis, x, xt, xp,
+                              self._normal_diagonal(basis, x, xt, xp),
+                              self._gradient(basis, xt, xp, res)).reshape(3, -1)
+            for damp in 0.25 ** np.arange(6):
                 trial = coeffs - damp * step
                 x2, xt2, xp2 = self._fields(basis, trial)
                 res2 = self._residual(xt2, xp2, target)
                 obj2 = self._objective(res2)
                 if np.isfinite(obj2) and obj2 < obj:
-                    improved = True
                     break
-                damp *= 0.25
-            if not improved:
-                if stale:
-                    stale = False     # retry with a fresh factorization
-                    continue
-                return coeffs, x, rel, rel < tol
-            slow = obj2 > 0.01 * obj
+            else:
+                break
             flat = obj2 > (1.0 - FLOOR_GAIN) * obj
             coeffs, x, xt, xp, res, obj = trial, x2, xt2, xp2, res2, obj2
             rel = _max_rel(res, target)
-            if stale and slow:
-                stale = False
-            elif flat:
-                return coeffs, x, rel, rel < tol
+            if flat:
+                break
         return coeffs, x, rel, rel < tol
 
     def solve(self, sigma_hat, check_curvature=True):
@@ -379,7 +380,6 @@ class WeylSolver:
                     return self._package(warm_basis, warm, x, rel,
                                          warm_start=True)
 
-        self._factor = None
         while True:
             coeffs, x, rel, ok = self._gauss_newton(
                 coeffs, basis, target, self.tol)
@@ -403,23 +403,17 @@ class WeylSolver:
         changes ``deltas`` (K, 3, n_theta, n_phi) of its metric's (tt, tp, pp).
 
         Each solves the linearized isometry equation in ``space``'s degree:
-        (J^T W J + gamma^2 R^T R) dc = J^T W delta at ``space``. Up to ``L_P``
-        all share one factorization; above it each is a conjugate-gradient
-        solve to ``TANGENT_FORCING`` sharing one Jacobi diagonal. Warm iterate
-        and held factor are kept.
+        (J^T W J + gamma^2 R^T R) dc = J^T W delta at ``space``, by one
+        ``_step`` to ``TANGENT_FORCING``. The directions share one Jacobi
+        diagonal and the held factor; the warm iterate is kept.
         """
         basis = self.grid.basis(space.l_max, lmin=1)
         x = space.xyz
         xt, xp = space.tangents
         rhs = self._gradient(basis, xt, xp, deltas.swapaxes(0, 1))
-        if basis.lmax > L_P:
-            normal = self._normal_diagonal(basis, x, xt, xp)
-            steps = np.stack([self._krylov_step(basis, xt, xp, normal, g,
-                                                TANGENT_FORCING) for g in rhs])
-        else:
-            factor = self._factorize(self._normal_matrix(basis, x, xt, xp))
-            steps = scipy.linalg.cho_solve(factor, rhs.T,
-                                           check_finite=False).T
+        normal = self._normal_diagonal(basis, x, xt, xp)
+        steps = np.stack([self._step(basis, x, xt, xp, normal, g,
+                                     TANGENT_FORCING) for g in rhs])
         return basis.synthesize(steps.reshape(len(rhs), 3, -1))
 
     def _package(self, basis, coeffs, x, rel, warm_start=False):

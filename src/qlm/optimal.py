@@ -6,7 +6,7 @@ the exact gradient and a trust-region quasi-Newton iteration with symmetric
 rank-two curvature updates. ``hessian_check`` assembles the reduced second
 variation by central differences of the residual. Its probes do not re-solve
 the Weyl problem: each moves the critical embedding along its tangent, so a
-check costs one normal-matrix factorization (degree <= ``L_P``) and no
+check costs one linear conjugate-gradient solve per direction and no
 nonlinear solve. ``comparison_check`` evaluates the energy-comparison
 inequality around a critical point with positive mass density.
 """
@@ -205,8 +205,8 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     (:meth:`EnergyWorkspace.tangent_states`), instead of on a re-solved
     X(tau* + s v). The two differ by the same O(s^2) term for both signs,
     which the central difference cancels, so the error stays O(FD_STEP^2).
-    All tangents share one factorization of the Gauss-Newton normal matrix
-    at X* (conjugate gradients above degree ``L_P``); no Weyl solve runs
+    Each tangent is a conjugate-gradient solve at X*, preconditioned by the
+    Weyl solver's held factor (degree <= ``L_P``); no Weyl solve runs
     beyond the one for tau* itself, and the probes leave the workspace's
     cache and warm start untouched.
     """

@@ -299,8 +299,8 @@ def test_warm_solves_reuse_the_factorization(grid32, cho_calls):
         factorizations.append(len(cho_calls) - before)
         warm.append(emb.warm_start)
     # A cold solve, then a warm start already at its target, then a nearby
-    # metric whose Gauss-Newton steps reuse the stale factor.
-    assert factorizations == [4, 0, 0]
+    # metric whose Gauss-Newton steps are preconditioned by the held factor.
+    assert factorizations == [1, 0, 0]
     assert warm == [False, True, True]
 
 
@@ -326,14 +326,14 @@ def test_unrelated_metric_starts_from_the_round_sphere(grid32, cho_calls):
 
 def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):
     # The stream opener cut needs degree 21, the cap at n=32. Each degree
-    # below it ends at its truncation floor instead of refactoring for steps
-    # that gain only rounding noise: 4 factorizations at L=10 and 3 at L=18.
-    # The cap is above L_P, so its steps are conjugate-gradient solves.
+    # below it ends at its truncation floor instead of taking steps that
+    # gain only rounding noise: one factorization at L=10 and one at L=18.
+    # The cap is above L_P, so no factor preconditions its steps.
     sigma = spot_cut_data(32, 0.1, 4.0).sigma
     emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
     assert emb.l_max == 21
     assert emb.residual < 1e-9
-    assert len(cho_calls) == 7
+    assert cho_calls == [360, 1080]
 
 
 @pytest.fixture
@@ -350,18 +350,45 @@ def product_calls(monkeypatch):
 
 
 def test_krylov_iterations_count_the_products(grid32, product_calls):
-    # Every degree of an ellipsoid solve is factored; the opener cut's last
-    # degree L=21 is above L_P and is solved matrix-free.
+    # Every step is a conjugate-gradient solve: at an ellipsoid's degree
+    # L=10, which is factored, as at the opener cut's last degree L=21,
+    # which is above L_P.
     emb = WeylSolver(grid32, tol=1e-10).solve(
         ellipsoid_metric(grid32, (1.0, 1.0, 1.2)))
     assert emb.l_max <= embedding.L_P
-    assert emb.krylov_iterations == len(product_calls) == 0
+    assert type(emb.krylov_iterations) is int
+    assert emb.krylov_iterations == len(product_calls) > 0
 
+    product_calls.clear()
     sigma = spot_cut_data(32, 0.1, 4.0).sigma
     emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
     assert emb.l_max > embedding.L_P
     assert type(emb.krylov_iterations) is int
     assert emb.krylov_iterations == len(product_calls) > 0
+
+
+def test_nearby_warm_solve_steps_on_the_held_factor(grid32, cho_calls,
+                                                   monkeypatch):
+    # The cold solve leaves its factor held. The warm solve of a nearby
+    # metric is preconditioned by it: no step needs more than K_REFACTOR
+    # products, so none factors.
+    solver = WeylSolver(grid32, tol=1e-10)
+    solver.solve(ellipsoid_metric(grid32, (1.0, 1.0, 1.2)))
+    products = []
+    original = WeylSolver._krylov_step
+
+    def counted(self, *args, **kwargs):
+        before = self._krylov_iterations
+        step = original(self, *args, **kwargs)
+        products.append(self._krylov_iterations - before)
+        return step
+    monkeypatch.setattr(WeylSolver, "_krylov_step", counted)
+    before = len(cho_calls)
+    emb = solver.solve(ellipsoid_metric(grid32, (1.0, 1.0, 1.25)))
+    assert emb.warm_start
+    assert emb.residual < 1e-10
+    assert len(cho_calls) == before
+    assert 0 < len(products) and max(products) <= embedding.K_REFACTOR
 
 
 def test_sharp_cut_at_the_cap_against_revolution_oracle(cho_calls):

@@ -72,6 +72,27 @@ def test_load_rejects_malformed_documents(tmp_path, grid16, schw_file):
     with pytest.raises(InputFileError, match="node"):
         load_surface_data(flat)
 
+    # Wrong types anywhere in the document are input errors, and the CLI
+    # exits 2 on them, not with a traceback.
+    def non_numeric(doc):
+        doc["sigma"]["tt"][3] = "x"
+
+    def ragged_tau(doc):
+        doc["tau"] = [[1.0, 2.0], [3.0]]
+    edits = [non_numeric, ragged_tau,
+             lambda doc: doc.update(sigma=5),
+             lambda doc: doc.update(H_norm="abc"),
+             lambda doc: doc.update(alpha_H=None)]
+    documents = [json.loads(open(schw_file).read()) for _ in edits]
+    for edit, doc in zip(edits, documents):
+        edit(doc)
+    for i, doc in enumerate(documents + [5.0]):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InputFileError):
+            load_surface_data(bad)
+        assert main(["compute", str(bad), "--which", "hawking"]) == 2
+
 
 def test_cli_compute_hawking(schw_file, tmp_path, capsys):
     out = tmp_path / "report.json"

@@ -15,7 +15,8 @@ Each line gives the case, the outcome (``ok``, or ``fail`` for a
 for a failure), the number of Cholesky factorizations and the number of
 conjugate-gradient iterations (``-`` for a tree that does not count them).
 ``diff`` of the output for two trees shows every solve a change to the
-degree path or the step moves. The total time goes to standard error. BLAS
+degree path or the step moves. The total time goes to standard error, with
+the case count by outcome and the total factorizations and iterations. BLAS
 is pinned to one thread before numpy loads.
 """
 
@@ -76,6 +77,8 @@ def spot_metric(grid, height, steepness):
 
 
 def run_case(label, sigma, tol, factorizations):
+    """Solve one case and print its line; returns (outcome, factorizations,
+    iterations)."""
     from qlm.embedding import WeylSolver
     from qlm.errors import ConvergenceError
 
@@ -88,9 +91,10 @@ def run_case(label, sigma, tol, factorizations):
         outcome, l_max, rel = ("fail", err.diagnostics["l_cap"],
                                err.diagnostics["floor"])
         krylov = err.diagnostics.get("krylov_iterations", "-")
+    factored = len(factorizations) - before
     print(f"{label} tol={tol:.0e} {outcome} L={l_max} residual={rel:.4e} "
-          f"factorizations={len(factorizations) - before} krylov={krylov}",
-          flush=True)
+          f"factorizations={factored} krylov={krylov}", flush=True)
+    return outcome, factored, krylov
 
 
 def main(argv):
@@ -110,15 +114,24 @@ def main(argv):
     scipy.linalg.cho_factor = counted
 
     start = time.perf_counter()
+    cases = []
     for n in (24, 32):
         for tol in (1e-8, 1e-10):
             for name, sigma in metrics(n):
-                run_case(f"n={n} {name}", sigma, tol, factorizations)
+                cases.append(run_case(f"n={n} {name}", sigma, tol,
+                                      factorizations))
     (height, steepness), sizes, tol = LARGE_SPOT
     for n in sizes:
         sigma = spot_metric(sphere_grid(n, 2 * n), height, steepness)
-        run_case(f"n={n} spot{(height, steepness)}", sigma, tol, factorizations)
-    print(f"sweep took {time.perf_counter() - start:.1f} s", file=sys.stderr)
+        cases.append(run_case(f"n={n} spot{(height, steepness)}", sigma, tol,
+                              factorizations))
+    seconds = time.perf_counter() - start
+    outcomes, factored, iterations = zip(*cases)
+    counts = " ".join(f"{name}={outcomes.count(name)}"
+                      for name in sorted(set(outcomes)))
+    products = "-" if "-" in iterations else sum(iterations)
+    print(f"sweep took {seconds:.1f} s: {len(cases)} cases ({counts}), "
+          f"factorizations={sum(factored)} krylov={products}", file=sys.stderr)
     return 0
 
 
