@@ -310,8 +310,9 @@ def cmd_plotdata(args):
                         f"{_fmt(byly_mass(sphere.data, workspace=workspace))}")
         path = os.path.join(args.outdir, "mass_curves.csv")
     elif args.kind == "shi-tam":
-        from .radial import e_of_r, shi_tam_flow
+        from .radial import _require_below_horizon, e_of_r, shi_tam_flow
 
+        _require_below_horizon(args.E, args.r0)
         u0 = 1.0 / np.sqrt(1.0 - 2.0 * args.E / args.r0)
         state = shi_tam_flow(args.r0, u0, r_max=max(2048.0, 2.5 * args.r_far))
         table = e_of_r(state, np.geomspace(args.r0, args.r_far, args.samples))

@@ -72,59 +72,69 @@ def _require(doc, key, path):
     return doc[key]
 
 
-def _array(grid, raw, name, path):
+def _array(raw, name, path, size):
+    """Float array of ``raw``; InputFileError unless it has ``size`` entries."""
     try:
         arr = np.asarray(raw, dtype=float)
     except (ValueError, TypeError) as exc:
         raise InputFileError(
             f"{path}: field {name!r} is not an array of numbers: {exc}") from exc
-    if arr.size != grid.n_theta * grid.n_phi:
+    if arr.size != size:
         raise InputFileError(
-            f"{path}: field {name!r} has {arr.size} entries, expected "
-            f"{grid.n_theta * grid.n_phi}")
-    return arr.reshape(grid.shape)
+            f"{path}: field {name!r} has {arr.size} entries, expected {size}")
+    return arr
 
 
 def load_surface_data(path):
     """Read and re-validate a surface-data document.
 
-    All construction invariants (metric positivity, |H| > 0, finiteness) are
-    re-checked; the first violation is reported as :class:`InputFileError`
-    with its grid location.
+    Every array's entry count is checked against the declared grid before
+    the grid is built. All construction invariants (metric positivity,
+    |H| > 0, finiteness) are re-checked; the first violation is reported as
+    :class:`InputFileError` with its grid location. Each message names
+    ``path`` once.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFileError(f"{path}: {exc}") from exc
 
     grid_doc = _require(doc, "grid", path)
     try:
-        grid = sphere_grid(int(grid_doc["n_theta"]), int(grid_doc["n_phi"]))
-    except (KeyError, ValueError, TypeError, QlmError) as exc:
+        n_theta, n_phi = int(grid_doc["n_theta"]), int(grid_doc["n_phi"])
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InputFileError(f"{path}: bad grid spec: {exc}") from exc
 
+    size = n_theta * n_phi
     sigma_doc = _require(doc, "sigma", path)
     alpha_doc = _require(doc, "alpha_H", path)
+    fields = {"sigma.tt": _require(sigma_doc, "tt", path),
+              "sigma.tp": _require(sigma_doc, "tp", path),
+              "sigma.pp": _require(sigma_doc, "pp", path),
+              "H_norm": _require(doc, "H_norm", path),
+              "alpha_H.t": _require(alpha_doc, "t", path),
+              "alpha_H.p": _require(alpha_doc, "p", path)}
+    if doc.get("tau") is not None:
+        fields["tau"] = doc["tau"]
+    arrays = {name: _array(raw, name, path, size)
+              for name, raw in fields.items()}
+
     try:
-        sigma = Metric2(grid,
-                        _array(grid, _require(sigma_doc, "tt", path), "sigma.tt", path),
-                        _array(grid, _require(sigma_doc, "tp", path), "sigma.tp", path),
-                        _array(grid, _require(sigma_doc, "pp", path), "sigma.pp", path))
-        h_norm = ScalarField(grid, _array(grid, _require(doc, "H_norm", path),
-                                          "H_norm", path))
-        alpha = OneForm(grid,
-                        _array(grid, _require(alpha_doc, "t", path), "alpha_H.t", path),
-                        _array(grid, _require(alpha_doc, "p", path), "alpha_H.p", path))
-        data = SurfaceData(sigma, h_norm, alpha)
+        grid = sphere_grid(n_theta, n_phi)
+    except QlmError as exc:
+        raise InputFileError(f"{path}: bad grid spec: {exc}") from exc
+    arrays = {name: arr.reshape(grid.shape) for name, arr in arrays.items()}
+    try:
+        data = SurfaceData(
+            Metric2(grid, arrays["sigma.tt"], arrays["sigma.tp"],
+                    arrays["sigma.pp"]),
+            ScalarField(grid, arrays["H_norm"]),
+            OneForm(grid, arrays["alpha_H.t"], arrays["alpha_H.p"]))
+        tau = (TimeFunction(ScalarField(grid, arrays["tau"]))
+               if "tau" in arrays else None)
     except QlmError as exc:
         raise InputFileError(f"{path}: {exc}") from exc
-
-    tau = None
-    if "tau" in doc and doc["tau"] is not None:
-        try:
-            tau = TimeFunction(ScalarField(
-                grid, _array(grid, doc["tau"], "tau", path)))
-        except QlmError as exc:
-            raise InputFileError(f"{path}: {exc}") from exc
     return LoadedSurface(data=data, tau=tau, metadata=doc.get("metadata", {}))

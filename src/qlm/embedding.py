@@ -465,20 +465,17 @@ def extract_geometry(emb):
 
 @dataclass(frozen=True)
 class GraphEmbedding:
-    """Spacelike surface in Minkowski space built as a graph over a convex base.
+    """Spacelike graph X = (tau, ``space``) in Minkowski space.
 
     ``space`` embeds the graph metric ``sigma_hat``, ``dtau`` is the
-    differential of the height function, ``mean_vec`` the Minkowski
-    mean-curvature vector (time component first) and ``h0_sq`` its Lorentz
-    norm squared.
+    differential of tau and ``lap_tau`` its sigma-Laplacian (raw array), the
+    time component of the mean-curvature vector.
     """
 
     space: EmbeddingR3
     sigma_hat: Metric2
     dtau: OneForm
-    mean_vec: np.ndarray          # (4, n_theta, n_phi)
-    h0_sq: ScalarField
-    lorentz_residual: float
+    lap_tau: np.ndarray
 
 
 def admissible_graph_metric(sigma, dtau):
@@ -504,24 +501,8 @@ def graph_embedding(sigma, tau, solver):
 
 def lift_graph(sigma, dtau, sigma_hat, space):
     """Graph X = (tau, ``space``) for an embedding ``space`` of the graph
-    metric ``sigma_hat`` = sigma + dtau (x) dtau.
-
-    The induced Lorentz metric reproduces sigma up to the residual of
-    ``space``, recorded as ``lorentz_residual``. The mean-curvature vector
-    is the sigma-Laplacian of the four coordinate functions.
-    """
-    grid = same_grid(sigma, dtau, sigma_hat)
-    lap_t = calc.divergence(sigma, dtau).values
-    lap_x = calc.coordinate_laplacian(sigma, space.tangents)
-    mean_vec = np.concatenate([lap_t[None], lap_x])
-    h0_sq = (lap_x * lap_x).sum(0) - lap_t ** 2
-
-    ind = space.induced_metric()
-    lorentz_residual = _max_rel((ind.tt - dtau.a_theta ** 2 - sigma.tt,
-                                 ind.tp - dtau.a_theta * dtau.a_phi - sigma.tp,
-                                 ind.pp - dtau.a_phi ** 2 - sigma.pp),
-                                sigma.components())
-    return GraphEmbedding(
-        space=space, sigma_hat=sigma_hat, dtau=dtau, mean_vec=mean_vec,
-        h0_sq=ScalarField(grid, h0_sq),
-        lorentz_residual=float(lorentz_residual))
+    metric ``sigma_hat`` = sigma + dtau (x) dtau; its induced Lorentz metric
+    is sigma up to the isometry residual of ``space``."""
+    same_grid(sigma, dtau, sigma_hat)
+    return GraphEmbedding(space=space, sigma_hat=sigma_hat, dtau=dtau,
+                          lap_tau=calc.divergence(sigma, dtau).values)

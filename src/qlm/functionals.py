@@ -268,7 +268,7 @@ def wang_yau_energy(data, tau, *, workspace):
     """Quasi-local energy of (data, tau): reference term minus physical term."""
     state = workspace.graph_state(data.sigma, tau)
     graph = state["graph"]
-    angle = _canonical_angle(data, graph.mean_vec[0], state["w"])
+    angle = _canonical_angle(data, graph.lap_tau, state["w"])
     reference = state["reference"] / (8.0 * np.pi)
     physical = _physical_term(data, angle, state["w"], graph.dtau)
     return EnergyBreakdown(
@@ -289,18 +289,20 @@ def gauge_functional(data, dtau, phi):
 
 
 def mass_density(data, tau, *, workspace):
-    """Pointwise quasi-local mass density of the pair (data, tau)."""
+    """Pointwise quasi-local mass density of the pair (data, tau); needs a
+    spacelike reference mean-curvature vector (Laplacians of tau and X)."""
     state = workspace.graph_state(data.sigma, tau)
     graph = state["graph"]
-    h0_sq = graph.h0_sq.values
-    if np.any(h0_sq <= 0.0):
-        node = worst_node(h0_sq)
+    lap_x = calc.coordinate_laplacian(data.sigma, graph.space.tangents)
+    ref_norm_sq = (lap_x * lap_x).sum(0) - graph.lap_tau ** 2
+    if np.any(ref_norm_sq <= 0.0):
+        node = worst_node(ref_norm_sq)
         raise GeometryError(
             f"reference mean-curvature vector not spacelike: |H0|^2 = "
-            f"{h0_sq[node]:.3e} at node {node}")
+            f"{ref_norm_sq[node]:.3e} at node {node}", node=node)
     w = state["w"]
-    common = graph.mean_vec[0] ** 2 / w ** 2
-    rho = (np.sqrt(h0_sq + common)
+    common = graph.lap_tau ** 2 / w ** 2
+    rho = (np.sqrt(ref_norm_sq + common)
            - np.sqrt(data.h_norm.values ** 2 + common)) / w
     return ScalarField(data.grid, rho)
 
@@ -324,7 +326,7 @@ def _state_residual(data, tau, state):
     hess = calc.covariant_hessian(sigma, tau.tau)
     bulk = (a_tt * hess.tt + 2.0 * a_tp * hess.tp + a_pp * hess.pp) / w
 
-    angle = _canonical_angle(data, graph.mean_vec[0], w)
+    angle = _canonical_angle(data, graph.lap_tau, w)
     grad_angle = calc.gradient(sigma, angle)
     factor = np.cosh(angle.values) * data.h_norm.values / w
     flux_form = graph.dtau * factor - grad_angle - data.alpha

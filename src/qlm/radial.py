@@ -220,6 +220,14 @@ class QuasiSphericalState:
         return np.asarray(r, dtype=float) * (1.0 - 1.0 / self.u(r))
 
 
+def _require_below_horizon(energy, r0):
+    """DomainError unless the extension of ADM energy ``energy`` from the
+    sphere of radius r0 stays outside its horizon: energy < r0/2."""
+    if energy >= r0 / 2.0:
+        raise DomainError(
+            f"extension forms a horizon: energy {energy:.6g} >= r0/2")
+
+
 def shi_tam_flow(r0, u0, r_max=2048.0):
     """Integrate the scalar-flat condition outward from u(r0) = u0.
 
@@ -234,9 +242,7 @@ def shi_tam_flow(r0, u0, r_max=2048.0):
         raise DomainError("r_max must exceed r0")
     h0 = 1.0 / (u0 * u0)
     energy = 0.5 * r0 * (1.0 - h0)
-    if energy >= r0 / 2.0:
-        raise DomainError(
-            f"extension forms a horizon: energy {energy:.6g} >= r0/2")
+    _require_below_horizon(energy, r0)
 
     sol = solve_ivp(lambda r, y: [(1.0 - y[0]) / r], (r0, r_max), [h0],
                     method="DOP853", rtol=1e-13, atol=1e-13,

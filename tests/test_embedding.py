@@ -229,17 +229,23 @@ def test_graph_embedding_reduces_at_zero_tau(grid32):
     graph = graph_embedding(sigma, ScalarField.constant(grid32, 0.0),
                             WeylSolver(grid32))
     geom = extract_geometry(graph.space)
-    assert_allclose(np.sqrt(graph.h0_sq.values), geom.mean_curvature.values,
-                    atol=1e-9)
+    lap_x = calc.coordinate_laplacian(sigma, graph.space.tangents)
+    assert_allclose(np.sqrt((lap_x * lap_x).sum(0)),
+                    geom.mean_curvature.values, atol=1e-9)
 
 
-def test_graph_embedding_lorentz_residual_and_time_component(grid32):
+def test_graph_embedding_induces_sigma_and_time_component(grid32):
     sigma = Metric2.round(grid32, 4.0)
     tau = mode_field(grid32, 1, 0, 0, 0.1)
     graph = graph_embedding(sigma, tau, WeylSolver(grid32))
-    assert graph.lorentz_residual < 1e-8
+    # Induced Lorentz metric <dX, dX> - dtau (x) dtau of X = (tau, space).
+    ind = graph.space.induced_metric()
+    a_t, a_p = graph.dtau.a_theta, graph.dtau.a_phi
+    lorentz = (ind.tt - a_t * a_t - sigma.tt, ind.tp - a_t * a_p - sigma.tp,
+               ind.pp - a_p * a_p - sigma.pp)
+    assert embedding._max_rel(lorentz, sigma.components()) < 1e-8
     lap_tau = calc.laplacian(sigma, tau)
-    assert_allclose(graph.mean_vec[0], lap_tau.values, atol=1e-10)
+    assert_allclose(graph.lap_tau, lap_tau.values, atol=1e-10)
 
 
 def test_nonconvex_precondition_names_node(grid32):

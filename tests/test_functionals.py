@@ -201,26 +201,23 @@ def test_mass_density(grid32, schw32, lightcone32, ws32):
     assert np.max(np.abs(rho_cut.values)) < 1e-7
 
 
-def test_mass_density_rejects_null_reference(grid32):
+def test_mass_density_rejects_null_reference(grid32, monkeypatch):
     # Catalog surfaces never reach this branch (their references stay
-    # spacelike), so forge a cached graph state whose reference norm dips
-    # negative and check the declared error fires.
+    # spacelike), so forge a graph state whose Laplacian of tau outgrows the
+    # spatial mean curvature (2 on the unit sphere) and check the declared
+    # error fires.
     from dataclasses import replace
-
-    from qlm.functionals import _digest
 
     ws = EnergyWorkspace(grid32, weyl_tol=1e-9)
     data = minkowski_surface_data(
         MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.0)), grid32).data
     tau = TimeFunction.zero(grid32)
     state = dict(ws.graph_state(data.sigma, tau))
-    graph = state["graph"]
-    state["graph"] = replace(graph, h0_sq=ScalarField(
-        grid32, graph.h0_sq.values - 2.0 * graph.h0_sq.values.min() - 5.0))
-    key = _digest(data.sigma.tt, data.sigma.tp, data.sigma.pp, tau.tau.values)
-    ws._states[key] = state
-    with pytest.raises(GeometryError):
+    state["graph"] = replace(state["graph"], lap_tau=np.full(grid32.shape, 3.0))
+    monkeypatch.setattr(ws, "graph_state", lambda sigma, tau: state)
+    with pytest.raises(GeometryError, match=r"at node \(\d+, \d+\)") as err:
         mass_density(data, tau, workspace=ws)
+    assert err.value.node is not None
 
 
 def test_steep_time_function_is_inadmissible(grid32):
@@ -237,7 +234,8 @@ def test_steep_time_function_is_inadmissible(grid32):
 def test_graph_state_builds_graph_metric_once(monkeypatch):
     grid = sphere_grid(16, 32)
     tau = TimeFunction.from_modes(grid, {(1, 0, 0): 0.1})
-    calls = {"metric_add_dtau": 0, "gauss_curvature": 0, "gradient": 0}
+    calls = {"metric_add_dtau": 0, "gauss_curvature": 0, "gradient": 0,
+             "coordinate_laplacian": 0}
     for name in calls:
         original = getattr(calc, name)
 
@@ -249,8 +247,10 @@ def test_graph_state_builds_graph_metric_once(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(calc, name, counted)
     EnergyWorkspace(grid).graph_state(Metric2.round(grid, 2.0), tau)
+    # One Laplacian per state: the time component of the mean-curvature
+    # vector; the spatial ones are left to mass_density.
     assert calls == {"metric_add_dtau": 1, "gauss_curvature": 1,
-                     "gradient": 1}
+                     "gradient": 1, "coordinate_laplacian": 1}
 
 
 def test_gauge_defect_takes_one_differential_of_tau(monkeypatch):

@@ -94,6 +94,64 @@ def test_load_rejects_malformed_documents(tmp_path, grid16, schw_file):
         assert main(["compute", str(bad), "--which", "hawking"]) == 2
 
 
+def test_load_checks_entry_counts_before_building_the_grid(tmp_path,
+                                                            monkeypatch):
+    # A few bytes claiming an 8-million-node grid are refused from the
+    # entry counts alone, before any grid is allocated.
+    import qlm.datafile
+
+    def unreachable(*args):
+        raise AssertionError("grid built before the arrays were checked")
+
+    monkeypatch.setattr(qlm.datafile, "sphere_grid", unreachable)
+    doc = {"grid": {"n_theta": 2000, "n_phi": 4000},
+           "sigma": {"tt": [1.0], "tp": [0.0], "pp": [1.0]},
+           "H_norm": [1.0], "alpha_H": {"t": [0.0], "p": [0.0]},
+           "metadata": {}}
+    claim = tmp_path / "claim.json"
+    claim.write_text(json.dumps(doc))
+    with pytest.raises(InputFileError, match="8000000"):
+        load_surface_data(claim)
+    assert main(["compute", str(claim), "--which", "hawking"]) == 2
+
+
+def test_load_errors_name_the_path_once(tmp_path, schw_file):
+    def missing_key(doc):
+        del doc["sigma"]["tt"]
+
+    def short_array(doc):
+        doc["alpha_H"]["p"] = doc["alpha_H"]["p"][:-1]
+
+    def text_tau(doc):
+        doc["tau"] = ["x"] * len(doc["H_norm"])
+
+    def zero_h(doc):
+        doc["H_norm"][7] = 0.0
+
+    def too_few_colatitudes(doc):
+        doc["grid"] = {"n_theta": 2, "n_phi": 256}    # entry counts still fit
+    for i, edit in enumerate([missing_key, short_array, text_tau, zero_h,
+                              too_few_colatitudes]):
+        doc = json.loads(open(schw_file).read())
+        edit(doc)
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InputFileError) as err:
+            load_surface_data(bad)
+        assert str(err.value).count(str(bad)) == 1, str(err.value)
+    # Unreadable files, bytes that are not UTF-8 and a grid size JSON reads
+    # as infinity are input errors too (exit 2), not tracebacks.
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    infinite = tmp_path / "infinite.json"
+    infinite.write_text('{"grid": {"n_theta": Infinity, "n_phi": 32}}')
+    for path in (tmp_path / "absent.json", tmp_path, undecodable, infinite):
+        with pytest.raises(InputFileError) as err:
+            load_surface_data(path)
+        assert str(err.value).count(str(path)) == 1, str(err.value)
+        assert main(["compute", str(path), "--which", "hawking"]) == 2
+
+
 def test_cli_compute_hawking(schw_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["compute", schw_file, "--which", "hawking",
@@ -376,6 +434,22 @@ def test_cli_plotdata_shi_tam(tmp_path, capsys):
     values = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
     expected = values[:, 0] * (1 - np.sqrt(1 - 2 / values[:, 0]))
     assert np.max(np.abs(values[:, 1] - expected)) < 1e-8
+
+
+@pytest.mark.parametrize("energy", ["2", "3"])
+def test_cli_plotdata_shi_tam_refuses_a_horizon_before_the_lapse(
+        energy, tmp_path, capsys):
+    # E >= r0/2 has no real boundary lapse; it is refused before the lapse
+    # is computed, so numpy warns about nothing.
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["plotdata", "shi-tam", "--r0", "4", "--E", energy,
+                     "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "extension forms a horizon" in capsys.readouterr().err
+    assert not (tmp_path / "shi_tam_e_of_r.csv").exists()
 
 
 def test_cli_plotdata_stability(tmp_path, capsys):
