@@ -50,8 +50,7 @@ def area_weights(sigma):
 def gradient(sigma, f):
     """Differential df as a covariant one-form."""
     grid = same_grid(sigma, f)
-    t = grid.transform
-    return OneForm(grid, t.dtheta(f.values, 0), t.dphi(f.values))
+    return OneForm(grid, grid.dtheta(f.values, 0), grid.dphi(f.values))
 
 
 def raise_form(sigma, a_theta, a_phi):
@@ -69,11 +68,10 @@ def coordinate_laplacian(sigma, tangents):
     array whose last two axes are the grid's; a stack (k, n_theta, n_phi)
     gives the k Laplacians in one pass.
     """
-    t = sigma.grid.transform
     v_t, v_p = raise_form(sigma, *tangents)
     sq = sigma.sqrt_det()
     # Contravariant density sqrt(det) * v^theta carries theta-rank 2.
-    return (t.dtheta(sq * v_t, 2) + t.dphi(sq * v_p)) / sq
+    return (sigma.grid.dtheta(sq * v_t, 2) + sigma.grid.dphi(sq * v_p)) / sq
 
 
 def divergence(sigma, omega):
@@ -91,14 +89,13 @@ def laplacian(sigma, f):
 def covariant_hessian(sigma, f):
     """Second covariant derivative of a scalar, as a SymTensor2."""
     grid = same_grid(sigma, f)
-    t = grid.transform
     # Connection coefficients: g_cab is Gamma^c_ab (symmetric in a, b).
     g_ttt, g_ttp, g_tpp, g_ptt, g_ptp, g_ppp = sigma.christoffel
-    f_t = t.dtheta(f.values, 0)
-    f_p = t.dphi(f.values)
-    f_ttheta = t.dtheta(f_t, 1)
-    f_tphi = t.dphi(f_t)
-    f_pphi = t.dphi(f_p)
+    f_t = grid.dtheta(f.values, 0)
+    f_p = grid.dphi(f.values)
+    f_ttheta = grid.dtheta(f_t, 1)
+    f_tphi = grid.dphi(f_t)
+    f_pphi = grid.dphi(f_p)
     h_tt = f_ttheta - g_ttt * f_t - g_ptt * f_p
     h_tp = f_tphi - g_ttp * f_t - g_ptp * f_p
     h_pp = f_pphi - g_tpp * f_t - g_ppp * f_p
@@ -108,17 +105,16 @@ def covariant_hessian(sigma, f):
 def gauss_curvature(sigma):
     """Intrinsic Gauss curvature via the Brioschi determinant formula."""
     grid = sigma.grid
-    t = grid.transform
     e, f, g = sigma.components()
-    e_u = t.dtheta(e, 2)
-    e_v = t.dphi(e)
-    e_vv = t.dphi(e_v)
-    f_u = t.dtheta(f, 1)
-    f_v = t.dphi(f)
-    f_uv = t.dphi(f_u)
-    g_u = t.dtheta(g, 0)
-    g_v = t.dphi(g)
-    g_uu = t.dtheta(g_u, 1)
+    e_u = grid.dtheta(e, 2)
+    e_v = grid.dphi(e)
+    e_vv = grid.dphi(e_v)
+    f_u = grid.dtheta(f, 1)
+    f_v = grid.dphi(f)
+    f_uv = grid.dphi(f_u)
+    g_u = grid.dtheta(g, 0)
+    g_v = grid.dphi(g)
+    g_uu = grid.dtheta(g_u, 1)
 
     a00 = -0.5 * e_vv + f_uv - 0.5 * g_uu
     a01 = 0.5 * e_u

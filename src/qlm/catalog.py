@@ -52,6 +52,9 @@ class SphericalSphereSpec:
     r: float
 
     def __post_init__(self):
+        # NaN makes every comparison below false, so none would refuse it.
+        if not (np.isfinite(self.mass_param) and np.isfinite(self.r)):
+            raise DomainError(f"m = {self.mass_param} and r = {self.r} must be finite")
         if self.mass_param < 0:
             raise DomainError("mass parameter must be >= 0")
         if self.r <= 0:
@@ -190,10 +193,9 @@ def surface_data_from_embedding(grid, chart):
     by the light-cone reflection of H), and alpha measures the rotation of
     that frame along the surface.
     """
-    t = grid.transform
     chart = np.asarray(chart, dtype=float)
-    tan_t = t.dtheta(chart, 0)
-    tan_p = t.dphi(chart)
+    tan_t = grid.dtheta(chart, 0)
+    tan_p = grid.dphi(chart)
     try:
         sigma = Metric2(grid,
                         _mink_dot(tan_t, tan_t),
@@ -234,8 +236,8 @@ def surface_data_from_embedding(grid, chart):
 
     # Light-cone reflection of H, normalized to the future unit leg.
     frame4 = (h4 * e3 - h3 * e4) / h_norm
-    d_t = t.dtheta(frame4, 0)
-    d_p = t.dphi(frame4)
+    d_t = grid.dtheta(frame4, 0)
+    d_p = grid.dphi(frame4)
     alpha = OneForm(grid,
                     _mink_dot(d_t, h_vec) / h_norm,
                     _mink_dot(d_p, h_vec) / h_norm)

@@ -53,7 +53,7 @@ def _modes(spec):
         for chunk in filter(None, spec.split(";")):
             key, amp = chunk.split(":")
             ell, m, kind = (int(v) for v in key.split(","))
-            modes[(ell, m, kind)] = float(amp)
+            modes[(ell, m, kind)] = _finite_float(amp)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'l,m,kind:amp;...', got {spec!r}") from None
@@ -65,10 +65,18 @@ def _r_range(text):
     parts = text.split(":") + ["32"]
     try:
         if len(parts) in (3, 4):
-            return float(parts[0]), float(parts[1]), _positive_int(parts[2])
+            return (*map(_finite_float, parts[:2]), _positive_int(parts[2]))
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected 'lo:hi[:num]', got {text!r}")
+
+
+def _finite_float(text):
+    """argparse type: a float that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _positive_float(text):
@@ -234,11 +242,10 @@ def cmd_optimal(args):
     if args.hessian:
         # Refuse a probe basis the grid cannot hold before the solve.
         degree = _probe_degree(args.hessian)
-        support = min(grid.n_theta - 1, grid.n_phi // 2 - 1)
-        if degree > support:
+        if degree > grid.max_degree:
             raise PreconditionError(
                 f"--hessian {args.hessian} needs probe degree {degree}, "
-                f"above the grid's {support}")
+                f"above the grid's {grid.max_degree}")
     if args.tau0_y10 is not None:
         tau0 = TimeFunction.from_modes(grid, {(1, 0, 0): args.tau0_y10})
     elif loaded.tau is not None:
@@ -374,10 +381,10 @@ def build_parser():
     p = sub.add_parser("catalog", help="generate exact surface data")
     p.add_argument("kind", choices=["schwarzschild", "lightcone", "flat",
                                     "boosted", "graph"])
-    p.add_argument("--m", type=float, default=1.0, help="mass parameter")
-    p.add_argument("--r", type=float, default=4.0, help="areal radius")
-    p.add_argument("--v", type=float, default=0.3, help="boost velocity")
-    p.add_argument("--bump", type=float, default=0.1,
+    p.add_argument("--m", type=_finite_float, default=1.0, help="mass parameter")
+    p.add_argument("--r", type=_finite_float, default=4.0, help="areal radius")
+    p.add_argument("--v", type=_finite_float, default=0.3, help="boost velocity")
+    p.add_argument("--bump", type=_finite_float, default=0.1,
                    help="zonal log-amplitude of a light-cone cut")
     p.add_argument("--bump-l", type=int, default=2)
     p.add_argument("--axes", type=_axes, default="1,1,1.2",
@@ -390,7 +397,7 @@ def build_parser():
 
     p = sub.add_parser("optimal", help="solve for a critical time function")
     p.add_argument("input")
-    p.add_argument("--tau0-y10", type=float, default=None,
+    p.add_argument("--tau0-y10", type=_finite_float, default=None,
                    help="start from this amplitude of the first zonal mode")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.add_argument("--l-max-tau", type=_positive_int, default=16)
@@ -410,11 +417,11 @@ def build_parser():
 
     p = sub.add_parser("plotdata", help="emit CSV curves for external plotting")
     p.add_argument("kind", choices=["mass-curves", "shi-tam", "stability"])
-    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--r-range", type=_r_range, default="2.5:20",
                    help="lo:hi[:num]")
     p.add_argument("--r0", type=_positive_float, default=4.0)
-    p.add_argument("--E", type=float, default=1.0)
+    p.add_argument("--E", type=_finite_float, default=1.0)
     p.add_argument("--r-far", type=_positive_float, default=1000.0)
     p.add_argument("--samples", type=_positive_int, default=33)
     p.add_argument("--span", type=_positive_float, default=0.05)

@@ -61,8 +61,7 @@ class EmbeddingR3:
     @cached_property
     def tangents(self):
         """Tangent vectors (X_theta, X_phi), each (3, n_theta, n_phi)."""
-        t = self.grid.transform
-        return t.dtheta(self.xyz, 0), t.dphi(self.xyz)
+        return self.grid.dtheta(self.xyz, 0), self.grid.dphi(self.xyz)
 
     def induced_metric(self):
         xt, xp = self.tangents
@@ -126,8 +125,7 @@ class WeylSolver:
     ``tol`` is the relative max-node isometry residual to reach. Cold solves
     start at degree ``L_START``; the degree cap ``l_cap``, 2/3 of the grid
     degree (at least 8), leaves an anti-aliasing margin, and never exceeds
-    what the grid resolves: degree n_theta - 1 in colatitude and order
-    n_phi / 2 - 1 in longitude.
+    the grid's ``max_degree``, the highest degree its nodes resolve.
 
     Every Gauss-Newton step, and every ``tangent`` direction, is one
     preconditioned conjugate-gradient solve of the normal equations built
@@ -149,8 +147,7 @@ class WeylSolver:
     def __init__(self, grid, tol=1e-8):
         self.grid = grid
         self.tol = tol
-        self.l_cap = min(max(8, (2 * grid.n_theta) // 3), grid.n_theta - 1,
-                         grid.n_phi // 2 - 1)
+        self.l_cap = min(max(8, (2 * grid.n_theta) // 3), grid.max_degree)
         self._warm = None           # (basis, coefficients) of the last solve
         self._factor = None         # (degree, Cholesky factor) preconditioner
         self._krylov_iterations = 0
@@ -429,7 +426,6 @@ class WeylSolver:
 def extract_geometry(emb):
     """Outward normal, second fundamental form and curvatures of ``emb``."""
     grid = emb.grid
-    t = grid.transform
     xt, xp = emb.tangents
 
     raw = np.cross(xt, xp, axis=0)
@@ -444,9 +440,9 @@ def extract_geometry(emb):
     if np.sum(grid.quad_weights * (x * nu).sum(0)) < 0:
         nu = -nu
 
-    xtt = t.dtheta(xt, 1)
-    xtp = t.dphi(xt)
-    xpp = t.dphi(xp)
+    xtt = grid.dtheta(xt, 1)
+    xtp = grid.dphi(xt)
+    xpp = grid.dphi(xp)
     h = SymTensor2(grid,
                    -(xtt * nu).sum(0), -(xtp * nu).sum(0), -(xpp * nu).sum(0))
     itt, itp, ipp = sigma.inverse_components()

@@ -176,12 +176,11 @@ class Metric2(SymTensor2):
     def christoffel(self):
         """Connection coefficients (G^t_tt, G^t_tp, G^t_pp, G^p_tt, G^p_tp,
         G^p_pp), computed once per metric."""
-        t = self.grid.transform
         tt, tp, pp = self.components()
         itt, itp, ipp = self.inverse_components()
-        dt_tt, dt_tp, dt_pp = (t.dtheta(c, 2 - k)
+        dt_tt, dt_tp, dt_pp = (self.grid.dtheta(c, 2 - k)
                                for k, c in enumerate((tt, tp, pp)))
-        dp_tt, dp_tp, dp_pp = t.dphi(np.stack((tt, tp, pp)))
+        dp_tt, dp_tp, dp_pp = self.grid.dphi(np.stack((tt, tp, pp)))
         return (0.5 * (itt * dt_tt + itp * (2.0 * dt_tp - dp_tt)),
                 0.5 * (itt * dp_tt + itp * dt_pp),
                 0.5 * (itt * (2.0 * dp_tp - dt_pp) + itp * dp_pp),

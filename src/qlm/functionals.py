@@ -16,8 +16,6 @@ normalizations are kept.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +41,6 @@ __all__ = [
     "euler_lagrange_residual",
     "total_mean_curvature_variation",
 ]
-
-CACHE_SIZE = 16     # graph states kept by one EnergyWorkspace
 
 
 @dataclass(frozen=True)
@@ -112,45 +108,32 @@ def check_admissible(sigma, tau):
     return admissible_graph_metric(sigma, calc.gradient(sigma, tau.tau))
 
 
-def _digest(*arrays):
-    h = hashlib.sha1()
-    for a in arrays:
-        h.update(a.tobytes())
-    return h.digest()
-
-
 class EnergyWorkspace:
-    """Shared embedding solver and graph-state cache for one grid.
+    """Shared embedding solver and last graph state for one grid.
 
     Every solve-backed evaluator takes one as its keyword-only ``workspace``.
     Energy, density and Euler-Lagrange evaluations at one (data, tau) pair
     share a single convex-embedding solve, made to the isometry tolerance
-    ``weyl_tol``; the workspace keeps the ``CACHE_SIZE`` most recent states
-    so optimizer sweeps and finite-difference probes do not re-solve from
-    scratch. Like the solver it wraps, a workspace is not thread-safe:
-    concurrent evaluations need separate instances.
+    ``weyl_tol``: the workspace keeps the graph state of its last
+    (sigma, tau), and answers a request with equal arrays from it. Any other
+    pair is solved, warm-started from the solver's last iterate. Like the
+    solver it wraps, a workspace is not thread-safe: concurrent evaluations
+    need separate instances.
     """
 
     def __init__(self, grid, weyl_tol=1e-10):
         self.solver = WeylSolver(grid, weyl_tol)
-        self._states = OrderedDict()
+        self._last = None   # ((tt, tp, pp, tau) arrays, graph state)
 
     def graph_state(self, sigma, tau):
-        key = _digest(sigma.tt, sigma.tp, sigma.pp, tau.tau.values)
-        state = self._states.get(key)
-        if state is not None:
-            self._states.move_to_end(key)
-            return state
-        state = self._build_state(sigma, tau)
-        self._states[key] = state
-        while len(self._states) > CACHE_SIZE:
-            self._states.popitem(last=False)
+        arrays = (sigma.tt, sigma.tp, sigma.pp, tau.tau.values)
+        if self._last is not None and all(
+                map(np.array_equal, arrays, self._last[0])):
+            return self._last[1]
+        # Raises AdmissibilityError on a non-convex graph metric.
+        state = _lifted_state(sigma, graph_embedding(sigma, tau.tau, self.solver))
+        self._last = arrays, state
         return state
-
-    def _build_state(self, sigma, tau):
-        # graph_embedding raises AdmissibilityError on a non-convex graph
-        # metric.
-        return _lifted_state(sigma, graph_embedding(sigma, tau.tau, self.solver))
 
     def tangent_states(self, sigma, tau, directions, step):
         """Per row v of ``directions`` (K, n_theta, n_phi), the pairs
@@ -160,12 +143,12 @@ class EnergyWorkspace:
         lifted from X + s dX, where dX is the :meth:`WeylSolver.tangent` for
         the graph-metric change dtau (x) dv + dv (x) dtau. Nothing is solved,
         so the probes' graph metrics are not checked for convexity, and these
-        states are neither cached nor seen by the solver.
+        states neither replace the workspace's last state nor reach the
+        solver.
         """
         graph = self.graph_state(sigma, tau)["graph"]
-        t = sigma.grid.transform
         a_t, a_p = graph.dtau.a_theta, graph.dtau.a_phi
-        v_t, v_p = t.dtheta(directions, 0), t.dphi(directions)
+        v_t, v_p = sigma.grid.dtheta(directions, 0), sigma.grid.dphi(directions)
         deltas = np.stack([2.0 * a_t * v_t, a_t * v_p + a_p * v_t,
                            2.0 * a_p * v_p], axis=1)
         space = graph.space

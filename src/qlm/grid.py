@@ -14,18 +14,22 @@ import functools
 import numpy as np
 
 from .errors import InvalidFieldError
-from .harmonics import RealHarmonicBasis, SphereTransform, gauss_legendre_colatitude
+from .harmonics import RealHarmonicBasis, SphereTransform
 
 __all__ = ["SphereGrid", "sphere_grid"]
 
 
-class SphereGrid:
+class SphereGrid(SphereTransform):
     """Gauss-Legendre x uniform-phi collocation grid.
+
+    The grid is its own :class:`~qlm.harmonics.SphereTransform`, which owns
+    the colatitude nodes, ``dtheta``, ``dphi``, ``integrate_round`` and the
+    degree support ``max_degree``. The grid checks its node counts, adds the
+    longitudes and round-measure weights, and interns its harmonic bases.
 
     Attributes
     ----------
-    n_theta, n_phi : node counts
-    theta, phi : 1D node coordinates
+    phi : 1D longitudes
     quad_weights : (n_theta, n_phi) weights for the round measure; they sum
         to 4*pi to near machine precision
     """
@@ -35,18 +39,16 @@ class SphereGrid:
             raise InvalidFieldError("n_theta must be >= 4")
         if n_phi < 4 or n_phi % 2:
             raise InvalidFieldError("n_phi must be even and >= 4")
-        self.n_theta = int(n_theta)
-        self.n_phi = int(n_phi)
-        self.theta, self.x, self.glw = gauss_legendre_colatitude(self.n_theta)
+        super().__init__(n_theta, n_phi)
         self.phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         self.quad_weights = np.repeat(
-            self.glw[:, None] * (2.0 * np.pi / self.n_phi), self.n_phi, axis=1)
+            self.w[:, None] * (2.0 * np.pi / self.n_phi), self.n_phi, axis=1)
         total = self.quad_weights.sum()
         if abs(total - 4.0 * np.pi) > 1e-12 * 4.0 * np.pi:
             raise InvalidFieldError(f"round quadrature defect: {total - 4 * np.pi:g}")
-        self.transform = SphereTransform(self.theta, self.x, self.glw, self.n_phi)
         self._bases = {}
-        for arr in (self.theta, self.x, self.glw, self.phi, self.quad_weights):
+        for arr in (self.theta, self.x, self.w, self.sin_theta, self.phi,
+                    self.quad_weights):
             arr.setflags(write=False)
 
     @property
@@ -59,10 +61,6 @@ class SphereGrid:
         return np.meshgrid(self.theta, self.phi, indexing="ij")
 
     @property
-    def sin_theta(self):
-        return self.transform.sin_theta
-
-    @property
     def unit_sphere(self):
         """Node positions on the unit sphere in R^3: (3, n_theta, n_phi)."""
         th, ph = self.nodes
@@ -73,11 +71,8 @@ class SphereGrid:
         """Interned real harmonic basis up to degree ``lmax``."""
         key = (lmax, lmin)
         if key not in self._bases:
-            self._bases[key] = RealHarmonicBasis(self.transform, lmax, lmin)
+            self._bases[key] = RealHarmonicBasis(self, lmax, lmin)
         return self._bases[key]
-
-    def integrate_round(self, values):
-        return self.transform.integrate_round(values)
 
     def __repr__(self):
         return f"SphereGrid(n_theta={self.n_theta}, n_phi={self.n_phi})"

@@ -30,28 +30,11 @@ import numpy as np
 from .errors import InvalidFieldError
 
 __all__ = [
-    "gauss_legendre_colatitude",
     "legendre_functions",
     "SphereTransform",
     "RealHarmonicBasis",
     "real_mode_table",
 ]
-
-
-def gauss_legendre_colatitude(n_theta):
-    """Gauss-Legendre nodes/weights reordered so theta increases from pole.
-
-    Returns
-    -------
-    theta : (n_theta,) colatitudes in (0, pi)
-    x : (n_theta,) cos(theta), decreasing
-    w : (n_theta,) weights for integration in dx = sin(theta) dtheta
-    """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
-    order = np.argsort(-x)
-    x = x[order]
-    w = w[order]
-    return np.arccos(x), x, w
 
 
 def legendre_functions(m, lmax, x):
@@ -97,58 +80,58 @@ def legendre_functions(m, lmax, x):
 
 
 class SphereTransform:
-    """Derivative and quadrature engine bound to one collocation grid.
+    """Gauss-Legendre x uniform-phi nodes with their derivatives and quadrature.
 
-    Instances are immutable and cache the two dense colatitude
-    differentiation matrices (one per pole parity). ``dtheta`` and ``dphi``
-    act on the last two axes: ``values`` is one (n_theta, n_phi) array or a
-    stack of them along leading axes, which gives the same bits as one call
-    per component.
+    Owns the colatitudes ``theta`` in (0, pi), increasing from the north
+    pole, ``x`` = cos(theta) and the Gauss weights ``w`` for integration in
+    dx = sin(theta) dtheta, and the two dense colatitude
+    differentiation matrices (one per pole parity), built on first use.
+    ``dtheta`` and ``dphi`` act on the last two axes: ``values`` is one
+    (n_theta, n_phi) array or a stack of them along leading axes, which
+    gives the same bits as one call per component. ``n_phi`` is even.
+    ``max_degree`` is the one statement of the degree the nodes resolve.
     """
 
-    def __init__(self, theta, x, w, n_phi):
-        self.theta = theta
-        self.x = x
-        self.w = w
-        self.n_theta = theta.size
+    def __init__(self, n_theta, n_phi):
+        self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
-        self.sin_theta = np.sin(theta)
-        self._dtheta_mats = {}
+        x, w = np.polynomial.legendre.leggauss(self.n_theta)
+        order = np.argsort(-x)
+        self.x, self.w = x[order], w[order]
+        self.theta = np.arccos(self.x)
+        self.sin_theta = np.sin(self.theta)
         # Longitude wavenumbers for the real FFT layout.
         self._m = np.arange(self.n_phi // 2 + 1)
 
-    def _dtheta_matrix(self, parity):
-        """Dense matrix applying d/dtheta to one parity class of modes."""
-        mat = self._dtheta_mats.get(parity)
-        if mat is None:
-            lmax = self.n_theta - 1
-            if parity == 0:
-                p, dp = legendre_functions(0, lmax, self.x)
-            else:
-                p, dp = legendre_functions(1, lmax, self.x)
-            # Analysis by Gauss quadrature, synthesis with the derivative.
-            mat = dp.T @ (p * self.w)
-            self._dtheta_mats[parity] = mat
-        return mat
+    @property
+    def max_degree(self):
+        """Highest harmonic degree the nodes resolve: n_theta - 1 in
+        colatitude, order n_phi / 2 - 1 below the longitudinal Nyquist."""
+        return min(self.n_theta - 1, self.n_phi // 2 - 1)
+
+    @cached_property
+    def _dtheta_matrices(self):
+        """d/dtheta on modes of pole parity 0 and 1: analysis by Gauss
+        quadrature, synthesis with the derivative."""
+        tables = (legendre_functions(parity, self.n_theta - 1, self.x)
+                  for parity in (0, 1))
+        return [dp.T @ (p * self.w) for p, dp in tables]
 
     def dtheta(self, values, theta_rank):
         """d/dtheta of tensor-component arrays carrying ``theta_rank`` indices."""
         f_hat = np.fft.rfft(values, axis=-1)
         out = np.empty_like(f_hat)
         even_cols = (self._m + theta_rank) % 2 == 0
-        odd_cols = ~even_cols
-        if even_cols.any():
-            out[..., even_cols] = self._dtheta_matrix(0) @ f_hat[..., even_cols]
-        if odd_cols.any():
-            out[..., odd_cols] = self._dtheta_matrix(1) @ f_hat[..., odd_cols]
+        even, odd = self._dtheta_matrices
+        out[..., even_cols] = even @ f_hat[..., even_cols]
+        out[..., ~even_cols] = odd @ f_hat[..., ~even_cols]
         return np.fft.irfft(out, n=self.n_phi, axis=-1)
 
     def dphi(self, values):
         """d/dphi by Fourier differentiation (Nyquist mode dropped)."""
         f_hat = np.fft.rfft(values, axis=-1)
         f_hat *= 1j * self._m
-        if self.n_phi % 2 == 0:
-            f_hat[..., -1] = 0.0
+        f_hat[..., -1] = 0.0
         return np.fft.irfft(f_hat, n=self.n_phi, axis=-1)
 
     def integrate_round(self, values):
@@ -193,24 +176,26 @@ class RealHarmonicBasis:
 
     The node matrices ``values``, ``d_theta`` and ``d_phi`` are built on
     first access only; the package never reads them.
+
+    ``grid`` is a :class:`~qlm.grid.SphereGrid`, and ``lmax`` is at most its
+    ``max_degree``. The basis keeps the grid's ``quad_weights`` for
+    :meth:`analyze`, not the grid: a grid interns its bases, and a reference
+    back would make a cycle that only the garbage collector frees.
     """
 
-    def __init__(self, transform, lmax, lmin=0):
+    def __init__(self, grid, lmax, lmin=0):
         if lmax < lmin:
             raise InvalidFieldError(
                 f"basis degree {lmax} is below its lowest degree {lmin}")
-        if lmax > transform.n_theta - 1:
+        if lmax > grid.max_degree:
             raise InvalidFieldError(
-                f"basis degree {lmax} exceeds grid support {transform.n_theta - 1}")
-        if lmax >= transform.n_phi // 2:
-            raise InvalidFieldError(
-                f"basis degree {lmax} exceeds longitudinal Nyquist {transform.n_phi // 2 - 1}")
+                f"basis degree {lmax} exceeds grid support {grid.max_degree}")
         self.lmax = lmax
         self.lmin = lmin
-        self.transform = transform
+        self.quad_weights = grid.quad_weights
         self.modes = real_mode_table(lmax, lmin)
 
-        tables = [legendre_functions(m, lmax, transform.x)
+        tables = [legendre_functions(m, lmax, grid.x)
                   for m in range(lmax + 1)]
         self.p = np.stack([tables[m][0][ell - m] for ell, m, _ in self.modes], axis=1)
         self.dp = np.stack([tables[m][1][ell - m] for ell, m, _ in self.modes], axis=1)
@@ -220,7 +205,7 @@ class RealHarmonicBasis:
         # Azimuthal function q has order (q + 1) // 2; odd q is the cosine.
         q = np.arange(2 * lmax + 1)
         order = (q + 1) // 2
-        m_phi = order * (2.0 * np.pi * np.arange(transform.n_phi) / transform.n_phi)[:, None]
+        m_phi = order * (2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi)[:, None]
         cos, sin = np.cos(m_phi), np.sin(m_phi)
         inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
         cosine = q % 2 == 1
@@ -236,7 +221,7 @@ class RealHarmonicBasis:
         self._slot = self.azimuth * width + ell - lmin
         slabs = []
         for rows in (self.p, self.dp):
-            slab = np.zeros((len(q) * width, transform.n_theta))
+            slab = np.zeros((len(q) * width, grid.n_theta))
             slab[self._slot] = rows.T
             slabs.append(slab.reshape(len(q), width, -1))
         self._factors = {None: (slabs[0], self.azim),
@@ -286,9 +271,7 @@ class RealHarmonicBasis:
 
     def analyze(self, values):
         """Round-measure projection of fields (..., n_theta, n_phi) onto the basis."""
-        t = self.transform
-        weights = t.w[:, None] * (2.0 * np.pi / t.n_phi)
-        return self.project(weights * values)
+        return self.project(self.quad_weights * values)
 
     def derivative_gram(self, c_tt, c_tp, c_pt, c_pp):
         """Weighted Gram matrix of the basis derivatives, M x M.
@@ -304,7 +287,7 @@ class RealHarmonicBasis:
         n_azim = self.azim.shape[1]
         # sums[q, r, i, j, t] = sum over phi of azim_i[q] * c_ij[t] * azim_j[r],
         # with azim_theta = azim and azim_phi = dazim.
-        sums = np.empty((n_azim, n_azim, 2, 2, self.transform.n_theta))
+        sums = np.empty((n_azim, n_azim, 2, 2, len(self.p)))
         for i, j, weight in ((0, 0, c_tt), (0, 1, c_tp), (1, 0, c_pt), (1, 1, c_pp)):
             sums[:, :, i, j] = np.moveaxis(
                 azimuthal[i].T @ (weight[:, :, None] * azimuthal[j]), 0, -1)
@@ -334,9 +317,8 @@ class RealHarmonicBasis:
                 + self.p ** 2 * sums[2]).sum(axis=-2)
 
     def _on_nodes(self, colatitude, azimuthal):
-        t = self.transform
         return (colatitude[:, None] * azimuthal[:, self.azimuth]).reshape(
-            t.n_theta * t.n_phi, -1)
+            self.quad_weights.size, -1)
 
     @cached_property
     def values(self):

@@ -106,7 +106,7 @@ def solve_optimal(data, tau0, *, workspace, tol=1e-6, max_iter=200,
     ``workspace``.
     """
     grid = data.grid
-    l_max = min(l_max_tau, grid.n_theta - 2, grid.n_phi // 2 - 1)
+    l_max = min(l_max_tau, grid.n_theta - 2, grid.max_degree)
     basis = grid.basis(l_max, lmin=1)
 
     def evaluate(coeffs):
@@ -208,7 +208,7 @@ def hessian_check(data, tau_star, n_modes=15, *, workspace,
     Each tangent is a conjugate-gradient solve at X*, preconditioned by the
     Weyl solver's held factor (degree <= ``L_P``); no Weyl solve runs
     beyond the one for tau* itself, and the probes leave the workspace's
-    cache and warm start untouched.
+    last state and warm start untouched.
     """
     if n_modes < 1:
         raise PreconditionError(f"hessian needs at least one mode, got {n_modes}")

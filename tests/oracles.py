@@ -194,8 +194,7 @@ def dense_normal_matrix(basis, x, xt, xp, w_tt, w_tp, w_pp):
                 block[:, cols] = scale * (dt * basis.d_phi + dp * basis.d_theta)
         jtj += block.T @ block
 
-    t = basis.transform
-    node_weights = np.repeat(t.w, t.n_phi) * (2.0 * np.pi / t.n_phi)
+    node_weights = basis.quad_weights.ravel()
     gamma2 = np.trace(jtj) / m3
     for k in range(3):
         rot = np.cross(np.eye(3)[k], x.reshape(3, -1).T).T
@@ -209,7 +208,7 @@ def resolving_hessian(data, tau_star, n_modes, workspace, step=1e-4):
     """Eigenvalues of the reduced second variation at ``tau_star`` by full
     re-solves: central differences of the Euler-Lagrange residual at
     tau* +- step v, where each probe solves the Weyl problem of its own graph
-    metric through ``workspace`` (and enters its cache). The probes v are the
+    metric through ``workspace`` (and becomes its last state). The probes v are the
     first ``n_modes`` harmonics without constants, as in ``hessian_check``.
     """
     from qlm.fields import ScalarField

@@ -39,6 +39,13 @@ def test_schwarzschild_horizon_and_domain(grid32):
         SphericalSphereSpec(1.0, 1.5)
 
 
+@pytest.mark.parametrize("m, r", [(np.nan, 4.0), (1.0, np.nan), (np.inf, 4.0),
+                                  (1.0, np.inf)])
+def test_spherical_spec_refuses_non_finite_parameters(m, r):
+    with pytest.raises(DomainError, match="must be finite"):
+        SphericalSphereSpec(m, r)
+
+
 def test_catalog_roundtrip_reproduces_references(grid32, ws32, schw32):
     assert abs(hawking_mass(schw32.data) - schw32.refs["m_hawking"]) < 1e-7
     assert abs(byly_mass(schw32.data, workspace=ws32) - schw32.refs["M_byly"]) < 1e-7

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,9 +18,25 @@ from qlm.functionals import (EnergyWorkspace, SurfaceData, TimeFunction,
                              boost_angle, byly_mass, euler_lagrange_residual,
                              gauge_functional, hawking_mass, mass_density,
                              total_mean_curvature_variation, wang_yau_energy)
-from qlm.grid import sphere_grid
+from qlm.grid import SphereGrid, sphere_grid
 
 BYLY_M1_R4 = 4.0 * (1.0 - np.sqrt(0.5))
+
+
+def test_a_dropped_grid_is_freed_without_the_cycle_collector():
+    # A grid interns its bases, so a basis holding its grid would make a
+    # reference cycle: every dropped grid and its bases would wait for the
+    # cycle collector.
+    gc.disable()
+    try:
+        grid = SphereGrid(16, 32)
+        sphere = schwarzschild_sphere_data(SphericalSphereSpec(1.0, 4.0), grid)
+        assert byly_mass(sphere.data, workspace=EnergyWorkspace(grid)) > 0
+        dropped = weakref.ref(grid)
+        del grid, sphere
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_hawking_mass_examples(grid32, schw32, lightcone32):
@@ -141,9 +160,8 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
     def dot(a, b):
         return (eta * a * b).sum(0)
 
-    t = grid32.transform
-    tan_t = np.stack([t.dtheta(c, 0) for c in chart])
-    tan_p = np.stack([t.dphi(c) for c in chart])
+    tan_t = np.stack([grid32.dtheta(c, 0) for c in chart])
+    tan_p = np.stack([grid32.dphi(c) for c in chart])
     sigma = data.sigma
     itt, itp, ipp = sigma.inverse_components()
     lap = np.stack([calc.laplacian(sigma, ScalarField(grid32, c)).values
@@ -175,8 +193,8 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
     leg3 = np.cosh(chi) * frame3 + np.sinh(chi) * frame4
     leg4 = np.sinh(chi) * frame3 + np.cosh(chi) * frame4
 
-    d_t = np.stack([t.dtheta(c, 0) for c in leg3])
-    d_p = np.stack([t.dphi(c) for c in leg3])
+    d_t = np.stack([grid32.dtheta(c, 0) for c in leg3])
+    d_p = np.stack([grid32.dphi(c) for c in leg3])
     v_t = itt * grad_tau.a_theta + itp * grad_tau.a_phi
     v_p = itp * grad_tau.a_theta + ipp * grad_tau.a_phi
     w = np.sqrt(1.0 + calc.form_dot(sigma, grad_tau, grad_tau))
@@ -362,12 +380,11 @@ def test_variation_of_total_mean_curvature(grid32):
     emb = ws32.solver.solve(sigma_hat)
 
     # Rigid-rotation pullback: first variation vanishes.
-    t = grid32.transform
     rot = np.cross(np.array([0.3, -0.2, 1.0])[:, None, None], emb.xyz, axis=0)
-    xt = np.stack([t.dtheta(c, 0) for c in emb.xyz])
-    xp = np.stack([t.dphi(c) for c in emb.xyz])
-    rt = np.stack([t.dtheta(c, 0) for c in rot])
-    rp = np.stack([t.dphi(c) for c in rot])
+    xt = np.stack([grid32.dtheta(c, 0) for c in emb.xyz])
+    xp = np.stack([grid32.dphi(c) for c in emb.xyz])
+    rt = np.stack([grid32.dtheta(c, 0) for c in rot])
+    rp = np.stack([grid32.dphi(c) for c in rot])
     lie = SymTensor2(grid32, 2 * (xt * rt).sum(0),
                      (xt * rp).sum(0) + (xp * rt).sum(0), 2 * (xp * rp).sum(0))
     assert abs(total_mean_curvature_variation(sigma_hat, lie, workspace=ws32)) < 1e-7

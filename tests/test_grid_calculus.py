@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import random_band_limited
 from oracles import ellipsoid_area, ellipsoid_gauss_curvature
 from qlm import calculus as calc
+from qlm.embedding import WeylSolver
 from qlm.errors import (GridMismatchError, InvalidFieldError,
                         InvalidMetricError)
 from qlm.fields import Metric2, OneForm, ScalarField, worst_node
@@ -46,13 +47,23 @@ def test_sphere_grid_interns_positional_calls_only():
 
 
 def test_stacked_derivatives_match_per_component_calls():
-    t = sphere_grid(16, 32).transform
+    grid = sphere_grid(16, 32)
     stack = np.random.default_rng(4).standard_normal((2, 3, 16, 32))
     for rank in (0, 1, 2):
-        single = np.array([[t.dtheta(c, rank) for c in row] for row in stack])
-        assert np.array_equal(t.dtheta(stack, rank), single)
-    single = np.array([[t.dphi(c) for c in row] for row in stack])
-    assert np.array_equal(t.dphi(stack), single)
+        single = np.array([[grid.dtheta(c, rank) for c in row] for row in stack])
+        assert np.array_equal(grid.dtheta(stack, rank), single)
+    single = np.array([[grid.dphi(c) for c in row] for row in stack])
+    assert np.array_equal(grid.dphi(stack), single)
+
+
+def test_max_degree_is_the_basis_support_on_a_longitude_limited_grid():
+    # 16 x 20 resolves degree 15 in colatitude but only order 9 in longitude.
+    grid = sphere_grid(16, 20)
+    assert grid.max_degree == 9
+    assert grid.basis(grid.max_degree).lmax == grid.max_degree
+    with pytest.raises(InvalidFieldError):
+        grid.basis(grid.max_degree + 1)
+    assert WeylSolver(grid).l_cap <= grid.max_degree
 
 
 def test_integrate_round_spheres(grid32):
@@ -208,14 +219,14 @@ def test_hessian_trace_equals_laplacian(grid32):
     assert_allclose(trace, calc.laplacian(sigma, f).values, atol=1e-9)
 
 
-def per_column_basis(transform, lmax, lmin):
+def per_column_basis(grid, lmax, lmin):
     """(values, d_theta, d_phi) of the real harmonic basis, one outer product
     of a Legendre row and an azimuthal factor per column."""
-    phi = 2.0 * np.pi * np.arange(transform.n_phi) / transform.n_phi
+    phi = 2.0 * np.pi * np.arange(grid.n_phi) / grid.n_phi
     norm = 1.0 / np.sqrt(np.pi)
     columns = []
     for ell, m, kind in real_mode_table(lmax, lmin):
-        p, dp = (t[ell - m] for t in legendre_functions(m, lmax, transform.x))
+        p, dp = (t[ell - m] for t in legendre_functions(m, lmax, grid.x))
         if m == 0:
             azim, dazim = np.full_like(phi, 1.0 / np.sqrt(2.0 * np.pi)), 0.0 * phi
         elif kind == 0:
@@ -232,7 +243,7 @@ def test_basis_matches_per_column_formula():
     for lmin in (0, 1):
         basis = grid.basis(15, lmin)
         for got, want in zip((basis.values, basis.d_theta, basis.d_phi),
-                             per_column_basis(grid.transform, 15, lmin)):
+                             per_column_basis(grid, 15, lmin)):
             assert np.array_equal(got, want)
     with pytest.raises(InvalidFieldError):
         grid.basis(-1)
@@ -244,7 +255,7 @@ def test_padded_kernels_match_dense_and_are_adjoint(n_theta, n_phi):
     # Odd and non-2:1 grids, degrees up to the full support, 0-2 leading
     # axes: synthesize is the dense node product and project its adjoint.
     grid = sphere_grid(n_theta, n_phi)
-    support = min(n_theta - 1, n_phi // 2 - 1)
+    support = grid.max_degree
     rng = np.random.default_rng(n_theta * n_phi)
     for lmin in (0, 1):
         for lmax in (max(lmin, 2), support // 2, support):

@@ -214,6 +214,34 @@ def test_cli_out_of_range_inputs_are_input_errors(argv, schw_file, tmp_path,
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--m", ["catalog", "schwarzschild", "--m", "nan"]),
+    ("--r", ["catalog", "schwarzschild", "--r", "inf"]),
+    ("--v", ["catalog", "boosted", "--v", "nan"]),
+    ("--bump", ["catalog", "lightcone", "--bump", "inf"]),
+    ("--modes", ["catalog", "graph", "--modes", "2,0,0:nan"]),
+    ("--tau0-y10", ["optimal", "{data}", "--tau0-y10", "nan"]),
+    ("--m", ["plotdata", "mass-curves", "--m", "inf"]),
+    ("--r-range", ["plotdata", "mass-curves", "--r-range", "2.5:inf"]),
+    ("--r-range", ["plotdata", "mass-curves", "--r-range", "nan:20:4"]),
+    ("--E", ["plotdata", "shi-tam", "--E", "nan"]),
+])
+def test_cli_non_finite_numbers_name_their_option(option, argv, schw_file,
+                                                  tmp_path, capsys):
+    # NaN passes every range check made by comparison and inf overflows in
+    # numpy, so each option refuses both as it is parsed.
+    import warnings
+
+    argv = [a.format(data=schw_file) for a in argv]
+    argv += {"catalog": ["--out", str(tmp_path / "s.json")],
+             "plotdata": ["--outdir", str(tmp_path)]}.get(argv[0], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert f"argument {option}: must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "{data}", "--which", "hawking"],
     ["optimal", "{data}", "--l-max-tau", "4"],

@@ -221,9 +221,9 @@ def test_hessian_check_solves_nothing_and_leaves_the_workspace(
         grid32, lightcone32, monkeypatch):
     data, tau = lightcone32.data, lightcone32.tau_bar
     ws = EnergyWorkspace(grid32, weyl_tol=1e-11)
-    wang_yau_energy(data, tau, workspace=ws)         # caches the base state
+    wang_yau_energy(data, tau, workspace=ws)         # keeps the base state
     assert ws.graph_state(data.sigma, tau)["graph"].space.l_max <= L_P
-    keys, warm = list(ws._states), ws.solver._warm
+    last, warm = ws._last, ws.solver._warm
 
     calls = {"solve": 0, "_factorize": 0}
     for name in calls:
@@ -237,11 +237,11 @@ def test_hessian_check_solves_nothing_and_leaves_the_workspace(
     # The factor held from the base solve preconditions the tangents.
     assert calls["solve"] == 0
     assert calls["_factorize"] <= 1
-    assert list(ws._states) == keys
+    assert ws._last is last
     assert ws.solver._warm is warm
 
     # A probe point evaluates as in a fresh workspace: no probe state
-    # answers for it from the cache.
+    # answers for it from the workspace.
     probe = TimeFunction(tau.tau + grid32.basis(1, lmin=1).synthesize(
         np.eye(3)[0]) * FD_STEP)
     fresh = EnergyWorkspace(grid32, weyl_tol=1e-11)
