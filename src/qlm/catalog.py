@@ -21,7 +21,7 @@ import numpy as np
 from . import calculus as calc
 from .errors import DomainError, GenerationError, QlmError
 from .fields import Metric2, OneForm, ScalarField, worst_node
-from .functionals import SurfaceData, TimeFunction, byly_mass, hawking_mass
+from .functionals import SurfaceData, byly_mass, hawking_mass
 
 __all__ = [
     "SphericalSphereSpec",
@@ -155,7 +155,7 @@ class MinkowskiSurface:
     """Generated physical data plus the surface's own time function."""
 
     data: SurfaceData
-    tau_bar: TimeFunction
+    tau_bar: ScalarField
     chart: np.ndarray          # (4, n_theta, n_phi) embedding, time first
 
 
@@ -166,7 +166,7 @@ def _chart(spec, grid):
         space = np.stack([a * unit[0], b * unit[1], c * unit[2]])
         return np.concatenate([np.zeros((1,) + grid.shape), space])
     if spec.variant == "lightcone_cut":
-        log_f = TimeFunction.from_modes(grid, spec.log_modes).tau.values
+        log_f = ScalarField.from_modes(grid, spec.log_modes).values
         f = np.exp(log_f) * spec.radius
         return np.concatenate([f[None], f * unit])
     if spec.variant == "boosted_sphere":
@@ -176,7 +176,7 @@ def _chart(spec, grid):
         return np.stack([-gam * v * r * unit[2],
                          r * unit[0], r * unit[1], gam * r * unit[2]])
     # graph over a round base
-    tau = TimeFunction.from_modes(grid, spec.tau_modes).tau.values
+    tau = ScalarField.from_modes(grid, spec.tau_modes).values
     return np.concatenate([tau[None], spec.radius * unit])
 
 
@@ -243,7 +243,7 @@ def surface_data_from_embedding(grid, chart):
                     _mink_dot(d_p, h_vec) / h_norm)
 
     data = SurfaceData(sigma, ScalarField(grid, h_norm), alpha)
-    tau_bar = TimeFunction(ScalarField(grid, chart[0])).mean_removed()
+    tau_bar = ScalarField(grid, chart[0]).mean_removed()
     return data, tau_bar
 
 
@@ -278,7 +278,7 @@ def lightcone_rigidity_report(data, *, workspace):
     """
     grid = data.grid
     byly = byly_mass(data, workspace=workspace)
-    state = workspace.graph_state(data.sigma, TimeFunction.zero(grid))
+    state = workspace.graph_state(data.sigma, ScalarField.zero(grid))
     geom = state["geom"]
     lam1 = geom.lambda1.values
     lam2 = geom.lambda2.values

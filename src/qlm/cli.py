@@ -63,53 +63,34 @@ def _modes(spec):
 def _r_range(text):
     """argparse type: 'lo:hi[:num]' as (lo, hi, num); num >= 1, default 32."""
     parts = text.split(":") + ["32"]
-    try:
-        if len(parts) in (3, 4):
-            return (*map(_finite_float, parts[:2]), _positive_int(parts[2]))
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected 'lo:hi[:num]', got {text!r}")
+    if len(parts) not in (3, 4):
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi[:num]', got {text!r}")
+    return (*map(_finite_float, parts[:2]), _positive_int(parts[2]))
 
 
-def _finite_float(text):
-    """argparse type: a float that must be finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+def _number(convert, holds, requirement):
+    """argparse type: ``convert`` the text, then require ``holds`` of it."""
+    kind = "an integer" if convert is int else "a number"
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {kind}, got {text!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    return parse
 
 
-def _positive_float(text):
-    """argparse type: a float that must be finite and strictly positive."""
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
-def _positive_int(text):
-    """argparse type: an integer that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
-def _nonnegative_int(text):
-    """argparse type: an integer that must be at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
-    return value
-
-
-def _resolution(text):
-    """argparse type: a grid resolution within the memory bound."""
-    n = int(text)
-    if not RESOLUTION_MIN <= n <= RESOLUTION_MAX:
-        raise argparse.ArgumentTypeError(
-            f"must lie in [{RESOLUTION_MIN}, {RESOLUTION_MAX}], got {n}")
-    return n
+_finite_float = _number(float, math.isfinite, "must be finite")
+_positive_float = _number(float, lambda v: v > 0.0 and math.isfinite(v),
+                          "must be positive and finite")
+_positive_int = _number(int, lambda v: v >= 1, "must be at least 1")
+_nonnegative_int = _number(int, lambda v: v >= 0, "must be at least 0")
+_resolution = _number(int, lambda n: RESOLUTION_MIN <= n <= RESOLUTION_MAX,
+                      f"must lie in [{RESOLUTION_MIN}, {RESOLUTION_MAX}]")
 
 
 def _axes(text):
@@ -149,8 +130,9 @@ def cmd_compute(args):
     import numpy as np
     from .datafile import load_surface_data
     from .errors import QlmError
-    from .functionals import (EnergyWorkspace, TimeFunction, byly_mass,
-                              hawking_mass, wang_yau_energy)
+    from .fields import ScalarField
+    from .functionals import (EnergyWorkspace, byly_mass, hawking_mass,
+                              wang_yau_energy)
 
     loaded = load_surface_data(args.input)
     data = loaded.data
@@ -163,13 +145,13 @@ def cmd_compute(args):
     if args.which == "hawking":
         report["value"] = hawking_mass(data)
     elif args.which == "byly":
-        tau = TimeFunction.zero(data.grid)
+        tau = ScalarField.zero(data.grid)
         report["value"] = byly_mass(data, workspace=workspace)
     else:
         if loaded.tau is not None:
             tau = loaded.tau
         elif args.tau_zero:
-            tau = TimeFunction.zero(data.grid)
+            tau = ScalarField.zero(data.grid)
         else:
             raise QlmError("wangyau requires a tau array in the file "
                            "or the --tau-zero flag")
@@ -233,7 +215,8 @@ def cmd_optimal(args):
     import numpy as np
     from .datafile import load_surface_data
     from .errors import PreconditionError
-    from .functionals import EnergyWorkspace, TimeFunction
+    from .fields import ScalarField
+    from .functionals import EnergyWorkspace
     from .optimal import _probe_degree, hessian_check, solve_optimal
 
     loaded = load_surface_data(args.input)
@@ -247,11 +230,11 @@ def cmd_optimal(args):
                 f"--hessian {args.hessian} needs probe degree {degree}, "
                 f"above the grid's {grid.max_degree}")
     if args.tau0_y10 is not None:
-        tau0 = TimeFunction.from_modes(grid, {(1, 0, 0): args.tau0_y10})
+        tau0 = ScalarField.from_modes(grid, {(1, 0, 0): args.tau0_y10})
     elif loaded.tau is not None:
         tau0 = loaded.tau
     else:
-        tau0 = TimeFunction.zero(grid)
+        tau0 = ScalarField.zero(grid)
     workspace = EnergyWorkspace(grid, weyl_tol=args.weyl_tol)
     result = solve_optimal(data, tau0, workspace=workspace, tol=args.tol,
                            l_max_tau=args.l_max_tau, max_iter=args.max_iter)
@@ -262,8 +245,8 @@ def cmd_optimal(args):
         "iterations": result.iterations,
         "energy": result.energy,
         "el_residual_norm": result.el_residual_norm,
-        "tau_star_sup": float(np.max(np.abs(result.tau_star.tau.values))),
-        "tau_star": result.tau_star.tau.values.ravel().tolist(),
+        "tau_star_sup": float(np.max(np.abs(result.tau_star.values))),
+        "tau_star": result.tau_star.values.ravel().tolist(),
     }
     if args.hessian:
         rep = hessian_check(data, result.tau_star, n_modes=args.hessian,
@@ -328,8 +311,8 @@ def cmd_plotdata(args):
     else:  # stability
         from .datafile import load_surface_data
         from .errors import InputFileError
-        from .functionals import (EnergyWorkspace, TimeFunction,
-                                  wang_yau_energy)
+        from .fields import ScalarField
+        from .functionals import EnergyWorkspace, wang_yau_energy
         from .optimal import solve_optimal
 
         if args.input is None:
@@ -338,13 +321,14 @@ def cmd_plotdata(args):
         data = loaded.data
         grid = data.grid
         workspace = EnergyWorkspace(grid, weyl_tol=1e-11)
-        tau0 = loaded.tau or TimeFunction.zero(grid)
+        tau0 = (loaded.tau if loaded.tau is not None
+                else ScalarField.zero(grid))
         result = solve_optimal(data, tau0, workspace=workspace, tol=args.tol)
         _require_converged(result, args.tol)
-        direction = TimeFunction.from_modes(grid, {(2, 0, 0): 1.0})
+        direction = ScalarField.from_modes(grid, {(2, 0, 0): 1.0})
         rows = ["s,energy"]
         for s in np.linspace(-args.span, args.span, args.samples):
-            tau = TimeFunction(result.tau_star.tau + direction.tau * float(s))
+            tau = result.tau_star + direction * float(s)
             e = wang_yau_energy(data, tau, workspace=workspace).energy
             rows.append(f"{_fmt(s)},{_fmt(e)}")
         path = os.path.join(args.outdir, "stability_curve.csv")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputFileError, QlmError
 from .fields import Metric2, OneForm, ScalarField
-from .functionals import SurfaceData, TimeFunction
+from .functionals import SurfaceData
 from .grid import sphere_grid
 
 __all__ = ["LoadedSurface", "save_surface_data", "load_surface_data"]
@@ -26,7 +26,7 @@ __all__ = ["LoadedSurface", "save_surface_data", "load_surface_data"]
 @dataclass(frozen=True)
 class LoadedSurface:
     data: SurfaceData
-    tau: Optional[TimeFunction]
+    tau: Optional[ScalarField]
     metadata: dict
 
 
@@ -56,7 +56,7 @@ def save_surface_data(path, data, tau=None, metadata=None):
         "  },",
     ]
     if tau is not None:
-        lines.append(f'  "tau": {_fmt_array(tau.tau.values)},')
+        lines.append(f'  "tau": {_fmt_array(tau.values)},')
     meta = json.dumps(metadata or {}, sort_keys=True)
     lines.append(f'  "metadata": {meta}')
     lines.append("}")
@@ -70,6 +70,15 @@ def _require(doc, key, path):
     if key not in doc:
         raise InputFileError(f"{path}: missing key {key!r}")
     return doc[key]
+
+
+def _grid_size(grid_doc, key, path):
+    """The grid size ``key``: a JSON integer, never a bool, float or string."""
+    value = _require(grid_doc, key, path)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFileError(
+            f"{path}: grid size {key!r} must be an integer, got {value!r}")
+    return value
 
 
 def _array(raw, name, path, size):
@@ -103,10 +112,8 @@ def load_surface_data(path):
         raise InputFileError(f"{path}: {exc}") from exc
 
     grid_doc = _require(doc, "grid", path)
-    try:
-        n_theta, n_phi = int(grid_doc["n_theta"]), int(grid_doc["n_phi"])
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise InputFileError(f"{path}: bad grid spec: {exc}") from exc
+    n_theta, n_phi = (_grid_size(grid_doc, key, path)
+                      for key in ("n_theta", "n_phi"))
 
     size = n_theta * n_phi
     sigma_doc = _require(doc, "sigma", path)
@@ -133,8 +140,7 @@ def load_surface_data(path):
                     arrays["sigma.pp"]),
             ScalarField(grid, arrays["H_norm"]),
             OneForm(grid, arrays["alpha_H.t"], arrays["alpha_H.p"]))
-        tau = (TimeFunction(ScalarField(grid, arrays["tau"]))
-               if "tau" in arrays else None)
+        tau = ScalarField(grid, arrays["tau"]) if "tau" in arrays else None
     except QlmError as exc:
         raise InputFileError(f"{path}: {exc}") from exc
     return LoadedSurface(data=data, tau=tau, metadata=doc.get("metadata", {}))

@@ -63,29 +63,45 @@ class ScalarField:
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)))
 
+    @classmethod
+    def zero(cls, grid):
+        return cls.constant(grid, 0.0)
+
+    @classmethod
+    def from_modes(cls, grid, modes):
+        """Field of {(l, m, kind): amplitude} in the orthonormal basis."""
+        if not modes:
+            return cls.zero(grid)
+        basis = grid.basis(max(ell for ell, _, _ in modes))
+        coeffs = np.zeros(basis.n_modes)
+        for key, amp in modes.items():
+            coeffs[basis.mode_index(*key)] = amp
+        return cls(grid, basis.synthesize(coeffs))
+
     def mean_round(self):
         """Average against the round measure."""
         return self.grid.integrate_round(self.values) / (4.0 * np.pi)
 
-    def __add__(self, other):
+    def mean_removed(self):
+        return self - self.mean_round()
+
+    def _operand(self, other):
+        """Values of a field on this grid, or ``other`` itself."""
         if isinstance(other, ScalarField):
             same_grid(self, other)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
+            return other.values
+        return other
+
+    def __add__(self, other):
+        return ScalarField(self.grid, self.values + self._operand(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other_values = other.values if isinstance(other, ScalarField) else other
-        if isinstance(other, ScalarField):
-            same_grid(self, other)
-        return ScalarField(self.grid, self.values - other_values)
+        return ScalarField(self.grid, self.values - self._operand(other))
 
     def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            same_grid(self, other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * other)
+        return ScalarField(self.grid, self.values * self._operand(other))
 
     __rmul__ = __mul__
 

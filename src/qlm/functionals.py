@@ -68,29 +68,8 @@ class SurfaceData:
         return self.sigma.grid
 
 
-@dataclass(frozen=True)
-class TimeFunction:
-    """Candidate time function; the observer direction is fixed to (1,0,0,0)."""
-
-    tau: ScalarField
-
-    @classmethod
-    def zero(cls, grid):
-        return cls(ScalarField.constant(grid, 0.0))
-
-    @classmethod
-    def from_modes(cls, grid, modes):
-        """Build tau from {(l, m, kind): amplitude} in the orthonormal basis."""
-        if not modes:
-            return cls.zero(grid)
-        basis = grid.basis(max(ell for ell, _, _ in modes))
-        coeffs = np.zeros(basis.n_modes)
-        for key, amp in modes.items():
-            coeffs[basis.mode_index(*key)] = amp
-        return cls(ScalarField(grid, basis.synthesize(coeffs)))
-
-    def mean_removed(self):
-        return TimeFunction(self.tau - self.tau.mean_round())
+# A time function tau is a scalar field; the observer is fixed to (1,0,0,0).
+TimeFunction = ScalarField
 
 
 @dataclass(frozen=True)
@@ -105,7 +84,7 @@ class EnergyBreakdown:
 
 def check_admissible(sigma, tau):
     """Graph metric of tau, raising AdmissibilityError if it loses convexity."""
-    return admissible_graph_metric(sigma, calc.gradient(sigma, tau.tau))
+    return admissible_graph_metric(sigma, calc.gradient(sigma, tau))
 
 
 class EnergyWorkspace:
@@ -126,12 +105,12 @@ class EnergyWorkspace:
         self._last = None   # ((tt, tp, pp, tau) arrays, graph state)
 
     def graph_state(self, sigma, tau):
-        arrays = (sigma.tt, sigma.tp, sigma.pp, tau.tau.values)
+        arrays = (sigma.tt, sigma.tp, sigma.pp, tau.values)
         if self._last is not None and all(
                 map(np.array_equal, arrays, self._last[0])):
             return self._last[1]
         # Raises AdmissibilityError on a non-convex graph metric.
-        state = _lifted_state(sigma, graph_embedding(sigma, tau.tau, self.solver))
+        state = _lifted_state(sigma, graph_embedding(sigma, tau, self.solver))
         self._last = arrays, state
         return state
 
@@ -153,7 +132,7 @@ class EnergyWorkspace:
                            2.0 * a_p * v_p], axis=1)
         space = graph.space
         for v, dx in zip(directions, self.solver.tangent(space, deltas)):
-            yield tuple(_moved_state(sigma, TimeFunction(tau.tau + v * s),
+            yield tuple(_moved_state(sigma, tau + v * s,
                                      space.xyz + dx * s, space.l_max)
                         for s in (step, -step))
 
@@ -161,7 +140,7 @@ class EnergyWorkspace:
 def _moved_state(sigma, tau, xyz, l_max):
     """(tau, graph state) on the spatial coordinates ``xyz``; nothing is
     solved on the graph metric, so its convexity goes unchecked."""
-    dtau = calc.gradient(sigma, tau.tau)
+    dtau = calc.gradient(sigma, tau)
     sigma_hat = calc.metric_add_dtau(sigma, dtau)
     space = EmbeddingR3.approximating(sigma_hat, xyz, l_max)
     return tau, _lifted_state(sigma, lift_graph(sigma, dtau, sigma_hat, space))
@@ -224,7 +203,7 @@ def byly_mass(data, *, workspace):
     The reference is the convex embedding of the induced metric itself, so
     positive Gauss curvature of the data metric is required.
     """
-    state = workspace.graph_state(data.sigma, TimeFunction.zero(data.grid))
+    state = workspace.graph_state(data.sigma, ScalarField.zero(data.grid))
     int_h = calc.integrate(data.sigma, data.h_norm)
     return (state["reference"] - int_h) / (8.0 * np.pi)
 
@@ -306,7 +285,7 @@ def _state_residual(data, tau, state):
     graph = state["graph"]
     w = state["w"]
     a_tt, a_tp, a_pp = _newton_tensor(graph.sigma_hat, state["geom"])
-    hess = calc.covariant_hessian(sigma, tau.tau)
+    hess = calc.covariant_hessian(sigma, tau)
     bulk = (a_tt * hess.tt + 2.0 * a_tp * hess.tp + a_pp * hess.pp) / w
 
     angle = _canonical_angle(data, graph.lap_tau, w)

@@ -22,9 +22,8 @@ from . import calculus as calc
 from .catalog import surface_data_from_embedding
 from .errors import AdmissibilityError, ConvergenceError, PreconditionError
 from .fields import ScalarField
-from .functionals import (TimeFunction, _state_residual,
-                          euler_lagrange_residual, mass_density,
-                          wang_yau_energy)
+from .functionals import (_state_residual, euler_lagrange_residual,
+                          mass_density, wang_yau_energy)
 
 __all__ = [
     "OptimalSolveResult",
@@ -41,7 +40,7 @@ FD_STEP = 1e-4          # central-difference step of hessian_check
 
 @dataclass(frozen=True)
 class OptimalSolveResult:
-    tau_star: TimeFunction
+    tau_star: ScalarField
     energy: float
     el_residual_norm: float
     iterations: int
@@ -111,11 +110,11 @@ def solve_optimal(data, tau0, *, workspace, tol=1e-6, max_iter=200,
 
     def evaluate(coeffs):
         """Energy, gradient and residual norm at tau = synthesize(coeffs)."""
-        tau = TimeFunction(ScalarField(grid, basis.synthesize(coeffs)))
+        tau = ScalarField(grid, basis.synthesize(coeffs))
         energy = wang_yau_energy(data, tau, workspace=workspace).energy
         return (energy, *_gradient(data, basis, tau, workspace))
 
-    x = basis.analyze(tau0.tau.values)
+    x = basis.analyze(tau0.values)
     try:
         f, g, res_norm = evaluate(x)
     except AdmissibilityError as exc:
@@ -172,7 +171,7 @@ def solve_optimal(data, tau0, *, workspace, tol=1e-6, max_iter=200,
                 diagnostics={"residual_norm": res_norm, "energy": f,
                              "iterations": iterations, "trust_radius": radius})
 
-    tau_star = TimeFunction(ScalarField(grid, basis.synthesize(x)))
+    tau_star = ScalarField(grid, basis.synthesize(x))
     return OptimalSolveResult(
         tau_star=tau_star.mean_removed(), energy=f, el_residual_norm=res_norm,
         iterations=iterations, converged=bool(res_norm < tol),
@@ -250,7 +249,7 @@ def comparison_check(data, tau_star, taus, *, workspace):
     e_star = wang_yau_energy(data, tau_star, workspace=workspace).energy
 
     state = workspace.graph_state(data.sigma, tau_star)
-    chart = np.concatenate([tau_star.tau.values[None],
+    chart = np.concatenate([tau_star.values[None],
                             state["graph"].space.xyz])
     ref_data, _ = surface_data_from_embedding(data.grid, chart)
     slacks = []

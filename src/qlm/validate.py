@@ -26,8 +26,8 @@ from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
                       surface_data_from_embedding)
 from .errors import QlmError
 from .fields import Metric2, ScalarField
-from .functionals import (EnergyWorkspace, TimeFunction, boost_angle,
-                          byly_mass, euler_lagrange_residual, gauge_functional,
+from .functionals import (EnergyWorkspace, boost_angle, byly_mass,
+                          euler_lagrange_residual, gauge_functional,
                           hawking_mass, wang_yau_energy)
 from .grid import sphere_grid
 from .optimal import comparison_check, hessian_check, solve_optimal
@@ -101,7 +101,7 @@ class ValidationContext:
     def schwarzschild_tau_star(self):
         def build():
             data = self.schwarzschild(4.0).data
-            tau0 = TimeFunction.from_modes(self.grid, {(1, 0, 0): 0.05})
+            tau0 = ScalarField.from_modes(self.grid, {(1, 0, 0): 0.05})
             return solve_optimal(data, tau0, workspace=self.workspace,
                                  tol=1e-8, l_max_tau=10)
         return self.memo("schw_tau_star", build)
@@ -144,9 +144,8 @@ def _el_gradient_defect(ctx, data, tau):
     jac = calc.area_weights(data.sigma)
     pairs = []
     for delta in ctx.random_band_limited(5):
-        e_plus = wang_yau_energy(data, TimeFunction(tau.tau + delta * eps),
-                                 workspace=ws).energy
-        e_minus = wang_yau_energy(data, TimeFunction(tau.tau + delta * (-eps)),
+        e_plus = wang_yau_energy(data, tau + delta * eps, workspace=ws).energy
+        e_minus = wang_yau_energy(data, tau + delta * (-eps),
                                   workspace=ws).energy
         fd = (e_plus - e_minus) / (2.0 * eps)
         predicted = float(np.sum(jac * res.values * delta.values)) / (8.0 * np.pi)
@@ -157,15 +156,12 @@ def _el_gradient_defect(ctx, data, tau):
 
 def _gauge_defect(ctx, data, tau):
     """min over eps of F(theta + eps Y20) - F(theta); negative = violation."""
-    dtau = calc.gradient(data.sigma, tau.tau)
+    dtau = calc.gradient(data.sigma, tau)
     theta = boost_angle(data, dtau)
     base = gauge_functional(data, dtau, theta)
-    bump = TimeFunction.from_modes(ctx.grid, {(2, 0, 0): 1.0}).tau
-    diffs = []
-    for eps in (1e-2, -1e-2):
-        phi = ScalarField(ctx.grid, theta.values + eps * bump.values)
-        diffs.append(gauge_functional(data, dtau, phi) - base)
-    return min(diffs)
+    bump = ScalarField.from_modes(ctx.grid, {(2, 0, 0): 1.0})
+    return min(gauge_functional(data, dtau, theta + eps * bump) - base
+               for eps in (1e-2, -1e-2))
 
 
 def _sharp_cut_metric(n_theta):
@@ -226,7 +222,7 @@ def _checks():
     @add("weyl-round-sanity")
     def _(ctx):
         state = ctx.workspace.graph_state(
-            ctx.schwarzschild(4.0).data.sigma, TimeFunction.zero(ctx.grid))
+            ctx.schwarzschild(4.0).data.sigma, ScalarField.zero(ctx.grid))
         return 0.0, state["graph"].space.residual, 1e-10, "round-metric isometry residual"
 
     @add("ellipsoid-total-mean-curvature")
@@ -235,7 +231,7 @@ def _checks():
         surface = minkowski_surface_data(
             MinkowskiSurfaceSpec("flat_r3", axes=axes), ctx.grid)
         state = ctx.workspace.graph_state(surface.data.sigma,
-                                          TimeFunction.zero(ctx.grid))
+                                          ScalarField.zero(ctx.grid))
         value = calc.integrate(surface.data.sigma, state["geom"].mean_curvature)
         oracle = _ellipsoid_total_mean_curvature(axes, 4 * ctx.resolution)
         return oracle, value, 1e-6 * abs(oracle), "vs 4x-resolution parametric quadrature"
@@ -275,22 +271,21 @@ def _checks():
     # 6. Euler-Lagrange residual is the energy gradient.
     @add("el-gradient-schwarzschild")
     def _(ctx):
-        tau = TimeFunction.from_modes(ctx.grid, {(1, 0, 0): 0.03, (2, 1, 1): 0.02})
+        tau = ScalarField.from_modes(ctx.grid, {(1, 0, 0): 0.03, (2, 1, 1): 0.02})
         defect = _el_gradient_defect(ctx, ctx.schwarzschild(4.0).data, tau)
         return 0.0, defect, 1e-5, "5 random directions, central differences"
 
     @add("el-gradient-lightcone")
     def _(ctx):
         surface = ctx.lightcone()
-        bump = TimeFunction.from_modes(ctx.grid, {(2, 1, 0): 0.03})
-        tau = TimeFunction(surface.tau_bar.tau + bump.tau)
+        tau = surface.tau_bar + ScalarField.from_modes(ctx.grid, {(2, 1, 0): 0.03})
         defect = _el_gradient_defect(ctx, surface.data, tau)
         return 0.0, defect, 1e-5, "5 random directions, central differences"
 
     # 7. Canonical gauge minimizes the physical term.
     @add("gauge-optimality-schwarzschild")
     def _(ctx):
-        tau = TimeFunction.from_modes(ctx.grid, {(1, 0, 0): 0.04})
+        tau = ScalarField.from_modes(ctx.grid, {(1, 0, 0): 0.04})
         worst = _gauge_defect(ctx, ctx.schwarzschild(4.0).data, tau)
         return 0.0, min(worst, 0.0), 1e-12, f"min gauge increment {worst:.3e}"
 
@@ -304,7 +299,7 @@ def _checks():
     @add("optimal-solve-tau-sup")
     def _(ctx):
         result = ctx.schwarzschild_tau_star()
-        return 0.0, float(np.max(np.abs(result.tau_star.tau.values))), 1e-5, \
+        return 0.0, float(np.max(np.abs(result.tau_star.values))), 1e-5, \
             f"converged = {result.converged}, iters = {result.iterations}"
 
     @add("optimal-solve-energy")
@@ -323,7 +318,7 @@ def _checks():
 
     @add("hessian-flat-nonnegative")
     def _(ctx):
-        rep = hessian_check(ctx.flat_round().data, TimeFunction.zero(ctx.grid),
+        rep = hessian_check(ctx.flat_round().data, ScalarField.zero(ctx.grid),
                             n_modes=15, workspace=ctx.workspace)
         return 0.0, min(rep.min_eigenvalue, 0.0), 1e-7, \
             f"min eig {rep.min_eigenvalue:.3e} (boost directions)"
@@ -335,7 +330,7 @@ def _checks():
         tau_star = ctx.schwarzschild_tau_star().tau_star
         worst = min(comparison_check(
             data, tau_star,
-            [TimeFunction.from_modes(ctx.grid, modes)
+            [ScalarField.from_modes(ctx.grid, modes)
              for modes in ({(2, 0, 0): 0.05}, {(1, 1, 1): 0.05},
                            {(2, 1, 0): 0.05}, {(3, 0, 0): 0.04})],
             workspace=ctx.workspace))
@@ -345,7 +340,7 @@ def _checks():
     def _(ctx):
         data = ctx.schwarzschild(4.0).data
         tau_star = ctx.schwarzschild_tau_star().tau_star
-        tau = TimeFunction(tau_star.tau + 0.3)
+        tau = tau_star + 0.3
         [slack] = comparison_check(data, tau_star, [tau],
                                    workspace=ctx.workspace)
         return 0.0, slack, 1e-6, "tau = tau* + const"

@@ -212,20 +212,18 @@ def resolving_hessian(data, tau_star, n_modes, workspace, step=1e-4):
     first ``n_modes`` harmonics without constants, as in ``hessian_check``.
     """
     from qlm.fields import ScalarField
-    from qlm.functionals import TimeFunction
     from qlm.optimal import _gradient, _probe_degree
 
     grid = data.grid
     basis = grid.basis(_probe_degree(n_modes), lmin=1)
 
     def gradient_at(values):
-        tau = TimeFunction(ScalarField(grid, values))
-        return _gradient(data, basis, tau, workspace)[0]
+        return _gradient(data, basis, ScalarField(grid, values), workspace)[0]
 
     cols = []
     for direction in basis.synthesize(np.eye(basis.n_modes)[:n_modes]):
-        g_plus = gradient_at(tau_star.tau.values + step * direction)
-        g_minus = gradient_at(tau_star.tau.values - step * direction)
+        g_plus = gradient_at(tau_star.values + step * direction)
+        g_minus = gradient_at(tau_star.values - step * direction)
         cols.append((g_plus - g_minus)[:n_modes] / (2.0 * step))
     raw = np.array(cols).T
     return np.linalg.eigvalsh(0.5 * (raw + raw.T))

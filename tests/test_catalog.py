@@ -61,7 +61,7 @@ def test_flat_ellipsoid_data(grid32, flat_ellipsoid32):
     data = flat_ellipsoid32.data
     assert np.max(np.abs(data.alpha.a_theta)) < 1e-12
     assert np.max(np.abs(data.alpha.a_phi)) < 1e-12
-    assert np.max(np.abs(flat_ellipsoid32.tau_bar.tau.values)) < 1e-12
+    assert np.max(np.abs(flat_ellipsoid32.tau_bar.values)) < 1e-12
     th, ph = grid32.nodes
     assert_allclose(data.h_norm.values,
                     ellipsoid_mean_curvature((1.0, 1.0, 1.2), th, ph),

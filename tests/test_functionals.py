@@ -73,7 +73,7 @@ def test_byly_requires_convex_metric(grid32):
 
 def test_boost_angle_examples(grid32, schw32):
     zero = boost_angle(schw32.data, calc.gradient(
-        schw32.data.sigma, TimeFunction.zero(grid32).tau))
+        schw32.data.sigma, TimeFunction.zero(grid32)))
     assert np.max(np.abs(zero.values)) < 1e-12
 
     # Independent pointwise evaluation on round unit-sphere data, |H| = 2.
@@ -118,31 +118,30 @@ def test_wang_yau_energy_examples(grid32, schw32, lightcone32, ws32):
 def test_energy_invariant_under_time_translation(grid32, schw32, ws32):
     tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 0.05, (2, 1, 1): 0.03})
     e0 = wang_yau_energy(schw32.data, tau, workspace=ws32).energy
-    e1 = wang_yau_energy(schw32.data, TimeFunction(tau.tau + 0.7),
-                         workspace=ws32).energy
+    e1 = wang_yau_energy(schw32.data, tau + 0.7, workspace=ws32).energy
     assert abs(e0 - e1) < 1e-9
 
 
 def test_gauge_functional(grid32, schw32, lightcone32, ws32):
     for data, tau in ((schw32.data, TimeFunction.from_modes(grid32, {(1, 0, 0): 0.04})),
                       (lightcone32.data, lightcone32.tau_bar)):
-        dtau = calc.gradient(data.sigma, tau.tau)
+        dtau = calc.gradient(data.sigma, tau)
         theta = boost_angle(data, dtau)
         base = gauge_functional(data, dtau, theta)
         physical = wang_yau_energy(data, tau, workspace=ws32).physical_term
         assert abs(base - physical) < 1e-12
-        bump = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0}).tau
+        bump = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0})
         for eps in (1e-2, -1e-2):
             phi = ScalarField(grid32, theta.values + eps * bump.values)
             assert gauge_functional(data, dtau, phi) >= base
 
     # tau = 0: the functional reduces to the cosh-weighted |H| integral,
     # minimized at zero angle.
-    dtau0 = calc.gradient(schw32.data.sigma, TimeFunction.zero(grid32).tau)
+    dtau0 = calc.gradient(schw32.data.sigma, TimeFunction.zero(grid32))
     base = gauge_functional(schw32.data, dtau0, ScalarField.constant(grid32, 0.0))
     expected = calc.integrate(schw32.data.sigma, schw32.data.h_norm) / (8 * np.pi)
     assert abs(base - expected) < 1e-12
-    phi = TimeFunction.from_modes(grid32, {(2, 0, 0): 0.1}).tau
+    phi = TimeFunction.from_modes(grid32, {(2, 0, 0): 0.1})
     assert gauge_functional(schw32.data, dtau0, phi) > base
 
 
@@ -185,10 +184,10 @@ def test_gauge_functional_matches_frame_hamiltonian(grid32, ws32):
     frame4 = (h4 * e3 - h3 * e4) / h_norm
 
     # Arbitrary gauge: the functional's angle is minus the frame boost angle.
-    grad_tau = calc.gradient(sigma, tau.tau)
+    grad_tau = calc.gradient(sigma, tau)
     phi = ScalarField(grid32, boost_angle(data, grad_tau).values
                       + 0.05 * TimeFunction.from_modes(
-                          grid32, {(2, 0, 0): 1.0}).tau.values)
+                          grid32, {(2, 0, 0): 1.0}).values)
     chi = -phi.values
     leg3 = np.cosh(chi) * frame3 + np.sinh(chi) * frame4
     leg4 = np.sinh(chi) * frame3 + np.cosh(chi) * frame4
@@ -260,7 +259,7 @@ def test_graph_state_builds_graph_metric_once(monkeypatch):
         def counted(*args, _name=name, _fn=original, **kwargs):
             # Only differentials of tau count as gradient calls.
             if _name != "gradient" or np.array_equal(args[1].values,
-                                                     tau.tau.values):
+                                                     tau.values):
                 calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(calc, name, counted)
@@ -284,7 +283,7 @@ def test_gauge_defect_takes_one_differential_of_tau(monkeypatch):
     original = calc.gradient
 
     def counted(sigma, f):
-        if np.array_equal(f.values, tau.tau.values):
+        if np.array_equal(f.values, tau.values):
             calls.append(f)
         return original(sigma, f)
     monkeypatch.setattr(calc, "gradient", counted)
@@ -324,9 +323,9 @@ def test_el_residual_is_energy_gradient(grid32, schw32):
     jac = grid32.quad_weights * schw32.data.sigma.sqrt_det() / grid32.sin_theta[:, None]
     eps = 1e-5
     for delta in random_band_limited(grid32, 2, lmax=5, seed=17):
-        e_p = wang_yau_energy(schw32.data, TimeFunction(tau.tau + delta * eps),
+        e_p = wang_yau_energy(schw32.data, tau + delta * eps,
                               workspace=ws32).energy
-        e_m = wang_yau_energy(schw32.data, TimeFunction(tau.tau + delta * (-eps)),
+        e_m = wang_yau_energy(schw32.data, tau + delta * (-eps),
                               workspace=ws32).energy
         fd = (e_p - e_m) / (2 * eps)
         predicted = float(np.sum(jac * res.values * delta.values)) / (8 * np.pi)
@@ -375,7 +374,7 @@ def test_hawking_below_byly_on_symmetric_spheres(grid32, ws32):
 def test_variation_of_total_mean_curvature(grid32):
     ws32 = EnergyWorkspace(grid32, weyl_tol=1e-11)
     sigma = Metric2.round(grid32, 1.0)
-    tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 0.1}).tau
+    tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 0.1})
     sigma_hat = calc.metric_add_dtau(sigma, calc.gradient(sigma, tau))
     emb = ws32.solver.solve(sigma_hat)
 
@@ -390,7 +389,7 @@ def test_variation_of_total_mean_curvature(grid32):
     assert abs(total_mean_curvature_variation(sigma_hat, lie, workspace=ws32)) < 1e-7
 
     # Uniform scaling versus re-solved finite difference.
-    geom = ws32.graph_state(sigma, TimeFunction(tau))["geom"]
+    geom = ws32.graph_state(sigma, tau)["geom"]
     base = calc.integrate(sigma_hat, geom.mean_curvature)
     eps = 1e-4
     scaled = Metric2(grid32, np.exp(2 * eps) * sigma_hat.tt,
@@ -407,7 +406,7 @@ def test_variation_of_total_mean_curvature(grid32):
     # term of the energy. The direction must share the boost axis: purely
     # even zonal increments leave the reference term stationary by the
     # antipodal symmetry of the graph construction.
-    delta_tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 1.0}).tau
+    delta_tau = TimeFunction.from_modes(grid32, {(1, 0, 0): 1.0})
     df_tau = calc.gradient(sigma, ScalarField(grid32, tau.values))
     df_delta = calc.gradient(sigma, delta_tau)
     delta_sigma = SymTensor2(
@@ -422,8 +421,7 @@ def test_variation_of_total_mean_curvature(grid32):
     eps = 1e-4
     refs = []
     for s in (eps, -eps):
-        shifted = TimeFunction(ScalarField(
-            grid32, tau.values + s * delta_tau.values))
+        shifted = ScalarField(grid32, tau.values + s * delta_tau.values)
         refs.append(wang_yau_energy(flat_round.data, shifted,
                                     workspace=ws32).reference_term)
     fd = (refs[0] - refs[1]) / (2 * eps) * 8 * np.pi
@@ -454,7 +452,7 @@ def test_tangent_states_follow_the_first_variation(grid32, lightcone32,
     ws = EnergyWorkspace(grid32, weyl_tol=weyl_tol)
     graph = ws.graph_state(data.sigma, tau)["graph"]
     assert (graph.space.l_max <= L_P) == direct
-    v = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0, (3, 1, 1): 0.5}).tau
+    v = TimeFunction.from_modes(grid32, {(2, 0, 0): 1.0, (3, 1, 1): 0.5})
     eps = 1e-4
     (_, plus), (_, minus) = next(ws.tangent_states(data.sigma, tau,
                                                    v.values[None], eps))

@@ -42,7 +42,7 @@ def test_roundtrip_bit_exact(tmp_path, grid16):
     assert np.array_equal(loaded.data.sigma.pp, surface.data.sigma.pp)
     assert np.array_equal(loaded.data.h_norm.values, surface.data.h_norm.values)
     assert np.array_equal(loaded.data.alpha.a_theta, surface.data.alpha.a_theta)
-    assert np.array_equal(loaded.tau.tau.values, surface.tau_bar.tau.values)
+    assert np.array_equal(loaded.tau.values, surface.tau_bar.values)
     assert loaded.metadata == {"note": "roundtrip"}
 
     # Writing the loaded data again reproduces the file byte for byte.
@@ -152,6 +152,19 @@ def test_load_errors_name_the_path_once(tmp_path, schw_file):
         assert main(["compute", str(path), "--which", "hawking"]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("n_theta", 16.9), ("n_phi", "32"),
+                                        ("n_theta", True)])
+def test_load_accepts_only_integer_grid_sizes(key, value, tmp_path, schw_file):
+    # A grid size is a JSON integer: 16.9 is not a 16-row grid.
+    doc = json.loads(open(schw_file).read())
+    doc["grid"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InputFileError, match=f"'{key}' must be an integer"):
+        load_surface_data(bad)
+    assert main(["compute", str(bad), "--which", "hawking"]) == 2
+
+
 def test_cli_compute_hawking(schw_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["compute", schw_file, "--which", "hawking",
@@ -239,6 +252,26 @@ def test_cli_non_finite_numbers_name_their_option(option, argv, schw_file,
         warnings.simplefilter("error")
         assert main(argv) == 2
     assert f"argument {option}: must be finite" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, kind, argv", [
+    ("--tol", "a number", ["optimal", "{data}", "--tol", "abc"]),
+    ("--m", "a number", ["catalog", "schwarzschild", "--m", "abc"]),
+    ("--resolution", "an integer", ["validate", "--resolution", "abc"]),
+    ("--hessian", "an integer", ["optimal", "{data}", "--hessian", "x"]),
+    ("--samples", "an integer", ["plotdata", "shi-tam", "--samples", "1.5"]),
+    ("--axes", "a number", ["catalog", "flat", "--axes", "1,a,2"]),
+])
+def test_cli_non_numbers_name_their_option(option, kind, argv, schw_file,
+                                           tmp_path, capsys):
+    argv = [a.format(data=schw_file) for a in argv]
+    argv += {"catalog": ["--out", str(tmp_path / "s.json")],
+             "plotdata": ["--outdir", str(tmp_path)]}.get(argv[0], [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected {kind}, got " in err
+    assert "invalid _" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -367,7 +400,7 @@ def test_cli_optimal_nonconvergent_exits_3(tmp_path, capsys):
     from qlm import calculus as calc
     from qlm.fields import Metric2, ScalarField
     from qlm.functionals import SurfaceData, TimeFunction
-    zonal = TimeFunction.from_modes(grid, {(2, 0, 0): 1.0}).tau
+    zonal = TimeFunction.from_modes(grid, {(2, 0, 0): 1.0})
     sigma = Metric2.round(grid, 1.0)
     alpha = calc.gradient(sigma, zonal * 0.8)
     data = SurfaceData(sigma, ScalarField.constant(grid, 0.2), alpha)

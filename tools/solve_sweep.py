@@ -60,7 +60,7 @@ def metrics(n):
     round_metric = Metric2.round(grid, 1.0)
     for a in GRAPH_AMPLITUDES:
         tau = TimeFunction.from_modes(
-            grid, {(2, 0, 0): a, (2, 1, 1): a / 2, (3, 1, 0): a / 3}).tau
+            grid, {(2, 0, 0): a, (2, 1, 1): a / 2, (3, 1, 0): a / 3})
         yield f"graph{a}", calc.metric_add_dtau(
             round_metric, calc.gradient(round_metric, tau))
 
