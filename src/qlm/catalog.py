@@ -14,14 +14,13 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import calculus as calc
 from .errors import DomainError, GenerationError, QlmError
 from .fields import Metric2, OneForm, ScalarField, worst_node
-from .functionals import SurfaceData, byly_mass, hawking_mass
+from .functionals import SurfaceData, byly_mass
 
 __all__ = [
     "SphericalSphereSpec",
@@ -59,9 +58,9 @@ class SphericalSphereSpec:
             raise DomainError("mass parameter must be >= 0")
         if self.r <= 0:
             raise DomainError("areal radius must be positive")
-        if self.r < 2.0 * self.mass_param:
-            raise DomainError(
-                f"r = {self.r} lies inside the horizon 2m = {2 * self.mass_param}")
+        if self.r <= 2.0 * self.mass_param:
+            raise DomainError(f"r = {self.r} lies on or inside the horizon "
+                              f"2m = {2 * self.mass_param}")
 
     @property
     def grad_r_sq(self):
@@ -70,14 +69,9 @@ class SphericalSphereSpec:
 
 @dataclass(frozen=True)
 class SchwarzschildSphere:
-    """Generated data plus closed-form reference values.
+    """Generated data plus closed-form reference values."""
 
-    ``data`` is None exactly at the horizon, where |H| = 0 makes the triple
-    unusable for the spacelike-mean-curvature functionals; the reference
-    values are still exported there.
-    """
-
-    data: Optional[SurfaceData]
+    data: SurfaceData
     refs: dict
 
 
@@ -103,8 +97,6 @@ def schwarzschild_sphere_data(spec, grid):
         "h_norm": (2.0 / r) * np.sqrt(spec.grad_r_sq),
         "area": 4.0 * np.pi * r * r,
     }
-    if spec.grad_r_sq == 0.0:
-        return SchwarzschildSphere(None, refs)
     return SchwarzschildSphere(
         symmetric_sphere_data(grid, r, spec.grad_r_sq), refs)
 
@@ -259,7 +251,6 @@ def minkowski_surface_data(spec, grid):
 
 @dataclass(frozen=True)
 class LightconeRigidityReport:
-    hawking: float
     byly: float
     byly_from_principal_curvatures: float
 
@@ -269,7 +260,7 @@ class LightconeRigidityReport:
 
 
 def lightcone_rigidity_report(data, *, workspace):
-    """Evaluate the rigidity pattern of the data of a light-cone cut.
+    """Brown-York-Liu-Yau side of the rigidity pattern of a light-cone cut.
 
     The Hawking mass of a positive-curvature cut vanishes, while the
     Brown-York-Liu-Yau mass equals (1/8 pi) times the integrated squared
@@ -287,6 +278,5 @@ def lightcone_rigidity_report(data, *, workspace):
     integrand = ScalarField(grid, (np.sqrt(lam1) - np.sqrt(lam2)) ** 2)
     formula = calc.integrate(data.sigma, integrand) / (8.0 * np.pi)
     return LightconeRigidityReport(
-        hawking=hawking_mass(data),
         byly=byly,
         byly_from_principal_curvatures=formula)

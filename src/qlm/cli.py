@@ -101,17 +101,6 @@ def _axes(text):
     return axes
 
 
-def _schwarzschild_sphere(m, r, grid):
-    """Schwarzschild sphere data; the horizon r = 2m (|H| = 0) is refused."""
-    from .catalog import SphericalSphereSpec, schwarzschild_sphere_data
-    from .errors import QlmError
-
-    sphere = schwarzschild_sphere_data(SphericalSphereSpec(m, r), grid)
-    if sphere.data is None:
-        raise QlmError("horizon sphere has |H| = 0; no usable data")
-    return sphere
-
-
 def _require_converged(result, tol):
     """Refuse a critical-point solve that stopped at its iteration cap."""
     from .errors import ConvergenceError
@@ -168,14 +157,15 @@ def cmd_compute(args):
 
 
 def cmd_catalog(args):
-    from .catalog import MinkowskiSurfaceSpec, minkowski_surface_data
+    from .catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
+                          minkowski_surface_data, schwarzschild_sphere_data)
     from .datafile import save_surface_data
     from .grid import sphere_grid
 
     grid = sphere_grid(args.resolution, 2 * args.resolution)
     refs = {}
     if args.kind == "schwarzschild":
-        sphere = _schwarzschild_sphere(args.m, args.r, grid)
+        sphere = schwarzschild_sphere_data(SphericalSphereSpec(args.m, args.r), grid)
         data, tau = sphere.data, None
         refs = {k: float(v) for k, v in sphere.refs.items()}
         meta = {"kind": "schwarzschild", "m": args.m, "r": args.r}
@@ -287,6 +277,7 @@ def cmd_plotdata(args):
 
     os.makedirs(args.outdir, exist_ok=True)
     if args.kind == "mass-curves":
+        from .catalog import SphericalSphereSpec, schwarzschild_sphere_data
         from .functionals import EnergyWorkspace, byly_mass, hawking_mass
         from .grid import sphere_grid
 
@@ -295,9 +286,10 @@ def cmd_plotdata(args):
         workspace = EnergyWorkspace(grid)
         rows = ["r,hawking,byly"]
         for r in np.linspace(lo, hi, num):
-            sphere = _schwarzschild_sphere(args.m, float(r), grid)
-            rows.append(f"{_fmt(r)},{_fmt(hawking_mass(sphere.data))},"
-                        f"{_fmt(byly_mass(sphere.data, workspace=workspace))}")
+            data = schwarzschild_sphere_data(
+                SphericalSphereSpec(args.m, float(r)), grid).data
+            rows.append(f"{_fmt(r)},{_fmt(hawking_mass(data))},"
+                        f"{_fmt(byly_mass(data, workspace=workspace))}")
         path = os.path.join(args.outdir, "mass_curves.csv")
     elif args.kind == "shi-tam":
         from .radial import _require_below_horizon, e_of_r, shi_tam_flow

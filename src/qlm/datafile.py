@@ -2,9 +2,9 @@
 
 One JSON document per surface: grid sizes, metric components, |H|, the
 connection one-form, an optional time function and free-form metadata.
-Numbers are written with 17 significant digits so a write/read cycle
-reproduces every float bit-exactly; arrays are row-major with the colatitude
-index outermost.
+Numbers are written in Python's shortest round-trip form, so a write/read
+cycle reproduces every float bit-exactly, -0.0 included; arrays are
+row-major with the colatitude index outermost.
 """
 
 from __future__ import annotations
@@ -30,38 +30,24 @@ class LoadedSurface:
     metadata: dict
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
-
-
-def _fmt_array(arr):
-    return "[" + ", ".join(_fmt(v) for v in np.asarray(arr).ravel()) + "]"
-
-
 def save_surface_data(path, data, tau=None, metadata=None):
     """Write a surface-data JSON document (deterministic layout)."""
     grid = data.grid
-    lines = [
-        "{",
-        f'  "grid": {{"n_theta": {grid.n_theta}, "n_phi": {grid.n_phi}}},',
-        '  "sigma": {',
-        f'    "tt": {_fmt_array(data.sigma.tt)},',
-        f'    "tp": {_fmt_array(data.sigma.tp)},',
-        f'    "pp": {_fmt_array(data.sigma.pp)}',
-        "  },",
-        f'  "H_norm": {_fmt_array(data.h_norm.values)},',
-        '  "alpha_H": {',
-        f'    "t": {_fmt_array(data.alpha.a_theta)},',
-        f'    "p": {_fmt_array(data.alpha.a_phi)}',
-        "  },",
-    ]
+    doc = {
+        "grid": {"n_theta": grid.n_theta, "n_phi": grid.n_phi},
+        "sigma": {"tt": data.sigma.tt.ravel(),
+                  "tp": data.sigma.tp.ravel(),
+                  "pp": data.sigma.pp.ravel()},
+        "H_norm": data.h_norm.values.ravel(),
+        "alpha_H": {"t": data.alpha.a_theta.ravel(),
+                    "p": data.alpha.a_phi.ravel()},
+    }
     if tau is not None:
-        lines.append(f'  "tau": {_fmt_array(tau.values)},')
-    meta = json.dumps(metadata or {}, sort_keys=True)
-    lines.append(f'  "metadata": {meta}')
-    lines.append("}")
+        doc["tau"] = tau.values.ravel()
+    doc["metadata"] = metadata or {}
+    # The encoder turns one array at a time into a list of floats.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def _require(doc, key, path):

@@ -82,7 +82,6 @@ class EmbeddingR3:
 class EmbeddedGeometry:
     """Extrinsic geometry of an embedding (outward-normal convention)."""
 
-    grid: SphereGrid
     normal: np.ndarray            # (3, n_theta, n_phi), unit outward
     mean_curvature: ScalarField   # positive on convex surfaces
     second_form: SymTensor2
@@ -450,7 +449,6 @@ def extract_geometry(emb):
     k_ext = h.det() / sigma.det()
     disc = np.sqrt(np.clip(mean_h ** 2 / 4.0 - k_ext, 0.0, None))
     return EmbeddedGeometry(
-        grid=grid,
         normal=nu,
         mean_curvature=ScalarField(grid, mean_h),
         second_form=h,

@@ -78,12 +78,9 @@ class ScalarField:
             coeffs[basis.mode_index(*key)] = amp
         return cls(grid, basis.synthesize(coeffs))
 
-    def mean_round(self):
-        """Average against the round measure."""
-        return self.grid.integrate_round(self.values) / (4.0 * np.pi)
-
     def mean_removed(self):
-        return self - self.mean_round()
+        """This field minus its average against the round measure."""
+        return self - self.grid.integrate_round(self.values) / (4.0 * np.pi)
 
     def _operand(self, other):
         """Values of a field on this grid, or ``other`` itself."""

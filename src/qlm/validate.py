@@ -114,11 +114,6 @@ class ValidationContext:
         return self.memo("cut_rigidity", lambda: lightcone_rigidity_report(
             self.lightcone().data, workspace=self.workspace))
 
-    def random_band_limited(self, count):
-        """``count`` random fields of degree 1..5 drawn from the run's seed."""
-        return _random_fields(self.grid, np.random.default_rng(self.seed), 5,
-                              count)
-
 
 def _random_fields(grid, rng, lmax, count):
     """``count`` fields of degree 1..lmax, coefficients N(0, 1) * exp(-0.7 l)."""
@@ -143,7 +138,8 @@ def _el_gradient_defect(ctx, data, tau):
     res = euler_lagrange_residual(data, tau, workspace=ws)
     jac = calc.area_weights(data.sigma)
     pairs = []
-    for delta in ctx.random_band_limited(5):
+    rng = np.random.default_rng(ctx.seed)
+    for delta in _random_fields(ctx.grid, rng, 5, 5):
         e_plus = wang_yau_energy(data, tau + delta * eps, workspace=ws).energy
         e_minus = wang_yau_energy(data, tau + delta * (-eps),
                                   workspace=ws).energy

@@ -73,3 +73,22 @@ def test_el_gradient_probe_clears_the_solve_noise():
     # sits at the Weyl-solve noise floor, above the row's tolerance.
     [row] = run_validation(resolution=48, only=["el-gradient-lightcone"], seed=6)
     assert row.passed, row.actual
+
+
+def test_a_row_that_raises_fails_alone(monkeypatch):
+    # A builder's QlmError marks its own row failed and the run goes on.
+    import math
+
+    from qlm import validate
+    from qlm.errors import DomainError
+
+    def refused(ctx):
+        raise DomainError("no such sphere")
+
+    monkeypatch.setattr(validate, "_checks", lambda: [
+        ("refused", refused), ("fine", lambda ctx: (1.0, 1.0, 0.0, "exact"))])
+    bad, good = run_validation(resolution=16)
+    assert (bad.check_id, bad.passed) == ("refused", False)
+    assert math.isnan(bad.actual)
+    assert bad.detail == "error: no such sphere"
+    assert (good.check_id, good.passed, good.actual) == ("fine", True, 1.0)

@@ -13,6 +13,8 @@ from qlm.catalog import (MinkowskiSurfaceSpec, SphericalSphereSpec,
 from qlm.cli import build_parser, main
 from qlm.datafile import load_surface_data, save_surface_data
 from qlm.errors import InputFileError
+from qlm.fields import Metric2, OneForm, ScalarField
+from qlm.functionals import SurfaceData
 from qlm.grid import sphere_grid
 from test_embedding import spot_cut_data
 
@@ -50,6 +52,61 @@ def test_roundtrip_bit_exact(tmp_path, grid16):
     save_surface_data(path2, loaded.data, tau=loaded.tau,
                       metadata=loaded.metadata)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_roundtrip_keeps_negative_zero(tmp_path, grid16):
+    # format(-0.0, ".17g") is "-0", which json reads back as the integer 0.
+    sigma = Metric2.round(grid16, 2.0)
+    neg_zero = np.full(grid16.shape, -0.0)
+    data = SurfaceData(Metric2(grid16, sigma.tt, neg_zero, sigma.pp),
+                       ScalarField.constant(grid16, 0.5),
+                       OneForm(grid16, neg_zero, neg_zero))
+    path = tmp_path / "zeros.json"
+    save_surface_data(path, data, tau=ScalarField(grid16, neg_zero))
+    loaded = load_surface_data(path)
+    for values in (loaded.data.sigma.tp, loaded.data.alpha.a_theta,
+                   loaded.data.alpha.a_phi, loaded.tau.values):
+        assert np.all(np.signbit(values))
+
+
+def test_load_reads_the_seventeen_digit_layout(tmp_path, grid16):
+    # Files written with every number as format(x, ".17g"), one array per
+    # line, load to the same floats.
+    surface = minkowski_surface_data(
+        MinkowskiSurfaceSpec("graph", tau_modes={(2, 0, 0): 0.1}), grid16)
+    data = surface.data
+
+    def fmt(arr):
+        return "[" + ", ".join(format(float(v), ".17g") for v in arr.ravel()) + "]"
+
+    path = tmp_path / "old.json"
+    path.write_text("\n".join([
+        "{",
+        '  "grid": {"n_theta": 16, "n_phi": 32},',
+        '  "sigma": {',
+        f'    "tt": {fmt(data.sigma.tt)},',
+        f'    "tp": {fmt(data.sigma.tp)},',
+        f'    "pp": {fmt(data.sigma.pp)}',
+        "  },",
+        f'  "H_norm": {fmt(data.h_norm.values)},',
+        '  "alpha_H": {',
+        f'    "t": {fmt(data.alpha.a_theta)},',
+        f'    "p": {fmt(data.alpha.a_phi)}',
+        "  },",
+        f'  "tau": {fmt(surface.tau_bar.values)},',
+        '  "metadata": {"kind": "graph"}',
+        "}"]) + "\n")
+    loaded = load_surface_data(path)
+    pairs = [(loaded.data.sigma.tt, data.sigma.tt),
+             (loaded.data.sigma.tp, data.sigma.tp),
+             (loaded.data.sigma.pp, data.sigma.pp),
+             (loaded.data.h_norm.values, data.h_norm.values),
+             (loaded.data.alpha.a_theta, data.alpha.a_theta),
+             (loaded.data.alpha.a_phi, data.alpha.a_phi),
+             (loaded.tau.values, surface.tau_bar.values)]
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+    assert loaded.metadata == {"kind": "graph"}
 
 
 def test_load_rejects_malformed_documents(tmp_path, grid16, schw_file):
@@ -350,9 +407,14 @@ def test_cli_catalog_roundtrip(tmp_path, capsys):
     assert abs(report["value"] - 1.0) < 1e-7
 
 
-def test_cli_catalog_inside_horizon(tmp_path):
-    assert main(["catalog", "schwarzschild", "--m", "1", "--r", "1.5",
-                 "--resolution", "16", "--out", str(tmp_path / "x.json")]) == 2
+def test_cli_catalog_inside_horizon(tmp_path, capsys):
+    # |H| vanishes on the horizon r = 2m, so it is refused with the spheres
+    # inside it, before any file is written.
+    for r in ("1.5", "2"):
+        assert main(["catalog", "schwarzschild", "--m", "1", "--r", r,
+                     "--resolution", "16", "--out", str(tmp_path / "x.json")]) == 2
+        assert "lies on or inside the horizon" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_catalog_boosted_records_velocity(tmp_path, capsys):
@@ -385,6 +447,20 @@ def test_cli_optimal(tmp_path, schw_file, capsys):
     assert report["tau_star_sup"] < 1e-4
     assert report["hessian_min_eigenvalue"] > 0
     assert len(report["tau_star"]) == 16 * 32
+
+
+def test_cli_optimal_starts_from_the_stored_tau(tmp_path, capsys):
+    # A light-cone cut is stored with its own time function, which is
+    # already critical (energy 0): the solve starts there and takes no step.
+    cut = tmp_path / "cut.json"
+    assert main(["catalog", "lightcone", "--resolution", "24",
+                 "--out", str(cut)]) == 0
+    capsys.readouterr()
+    assert main(["optimal", str(cut)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["converged"]
+    assert report["iterations"] == 0
+    assert abs(report["energy"]) < 1e-10
 
 
 def test_cli_optimal_iteration_cap_exits_3(schw_file, capsys):
@@ -483,7 +559,7 @@ def test_cli_plotdata_mass_curves_refuses_the_horizon(tmp_path, capsys):
                  "--r-range", "2:20:4", "--resolution", "16",
                  "--outdir", str(tmp_path)])
     assert code == 2
-    assert "horizon sphere has |H| = 0" in capsys.readouterr().err
+    assert "lies on or inside the horizon" in capsys.readouterr().err
     assert not (tmp_path / "mass_curves.csv").exists()
 
 

@@ -245,3 +245,62 @@ def test_hessian_check_solves_nothing_and_leaves_the_workspace(
     fresh = EnergyWorkspace(grid32, weyl_tol=1e-11)
     assert abs(wang_yau_energy(data, probe, workspace=ws).energy
                - wang_yau_energy(data, probe, workspace=fresh).energy) <= 1e-12
+
+
+def test_solve_rejects_an_inadmissible_trial_step(grid32, schw32, monkeypatch):
+    # The exact trust step stays small on this sphere, so blow the first one
+    # up until its graph metric loses convexity: the solve must reject it,
+    # shrink the trust region and still reach the critical point.
+    from qlm import optimal
+    from qlm.embedding import admissible_graph_metric
+    from qlm.errors import AdmissibilityError
+
+    sigma = schw32.data.sigma
+    tau0 = TimeFunction.from_modes(grid32, {(1, 0, 0): 0.05})
+    basis = grid32.basis(OPTS["l_max_tau"], lmin=1)
+    x0 = basis.analyze(tau0.values)
+    trust_step = optimal._trust_step
+    radii = []
+
+    def inadmissible_first_step(b_mat, grad, radius):
+        radii.append(radius)
+        p = trust_step(b_mat, grad, radius)
+        while len(radii) == 1:
+            p = 2.0 * p
+            tau = ScalarField(grid32, basis.synthesize(x0 + p))
+            try:
+                admissible_graph_metric(sigma, calc.gradient(sigma, tau))
+            except AdmissibilityError:
+                break
+        return p
+
+    monkeypatch.setattr(optimal, "_trust_step", inadmissible_first_step)
+    result = solve_optimal(schw32.data, tau0,
+                           workspace=EnergyWorkspace(grid32, weyl_tol=1e-11),
+                           **OPTS)
+    assert radii[1] == 0.25 * radii[0]
+    assert result.converged
+    assert abs(result.energy - BYLY_M1_R4) < 1e-5
+
+
+def test_hessian_needs_a_mode(schw32, schw_critical):
+    ws, result = schw_critical
+    with pytest.raises(PreconditionError, match="at least one mode"):
+        hessian_check(schw32.data, result.tau_star, n_modes=0, workspace=ws)
+
+
+def test_comparison_refuses_a_nonpositive_density(grid32, monkeypatch):
+    # Forge the graph state of the unit sphere at tau = 0 with Laplacian of
+    # tau 1: the reference vector stays spacelike (|H0|^2 = 4 - 1) but the
+    # density is 2 - sqrt(5) < 0 at every node.
+    from dataclasses import replace
+
+    ws = EnergyWorkspace(grid32, weyl_tol=1e-9)
+    data = minkowski_surface_data(
+        MinkowskiSurfaceSpec("flat_r3", axes=(1.0, 1.0, 1.0)), grid32).data
+    tau = TimeFunction.zero(grid32)
+    state = dict(ws.graph_state(data.sigma, tau))
+    state["graph"] = replace(state["graph"], lap_tau=np.full(grid32.shape, 1.0))
+    monkeypatch.setattr(ws, "graph_state", lambda sigma, tau: state)
+    with pytest.raises(PreconditionError, match="requires positive density"):
+        comparison_check(data, tau, [tau], workspace=ws)
