@@ -139,8 +139,9 @@ class WeylSolver:
 
     Gauss-Newton stops at a truncation floor: once a step lowers the
     objective by less than ``FLOOR_GAIN`` of itself, the degree cannot do
-    better. A floor below the cap grows the degree; a floor at the cap fails
-    the solve at once.
+    better. A floor below the cap grows the degree, by at least 8 and as
+    far as the decay of the iterate's coefficients says is needed (see
+    ``_next_degree``); a floor at the cap fails the solve at once.
     """
 
     def __init__(self, grid, tol=1e-8):
@@ -345,11 +346,11 @@ class WeylSolver:
         previous solution and the area-matched round sphere at ``L_START``.
         Gauss-Newton from the previous solution keeps its degree; if it
         misses ``tol``, or the round sphere fits better, the solve is cold:
-        Gauss-Newton from the round sphere, growing the degree by 8 on each
-        floor up to the cap. A floor at the cap raises
-        :class:`ConvergenceError` carrying the last iterate
-        (``diagnostics["last_iterate"]``), the cap (``"l_cap"``) and the
-        residual floor (``"floor"``).
+        Gauss-Newton from the round sphere, growing the degree on each floor
+        below the cap to the one its coefficients predict (``_next_degree``).
+        A floor at the cap raises :class:`ConvergenceError` carrying the last
+        iterate (``diagnostics["last_iterate"]``), the cap (``"l_cap"``) and
+        the residual floor (``"floor"``).
         """
         grid = self.grid
         if sigma_hat.grid is not grid:
@@ -390,9 +391,33 @@ class WeylSolver:
                         "l_cap": self.l_cap, "floor": float(rel),
                         "krylov_iterations": self._krylov_iterations})
             # Truncation-limited: enlarge the basis, keeping the coefficients.
-            basis = grid.basis(min(basis.lmax + 8, self.l_cap), lmin=1)
+            basis = grid.basis(self._next_degree(basis, coeffs, rel), lmin=1)
             coeffs = np.pad(coeffs,
                             ((0, 0), (0, basis.n_modes - coeffs.shape[1])))
+
+    def _next_degree(self, basis, coeffs, floor):
+        """Degree after a truncation floor ``floor`` of the iterate ``coeffs``
+        at degree L = ``basis.lmax`` below the cap.
+
+        Spectral coefficients decay geometrically, so the norms e_l of the
+        degree-l coefficients of all three coordinates say how far to go.
+        max(e_(l-1), e_l) bridges the degrees that symmetric surfaces leave
+        zero; its logarithm, fitted linearly over the degrees above L/2,
+        falls with slope s. For s < 0 the next degree is the one at which
+        ``floor``, falling at that rate, reaches ``tol``/10, at least L + 8
+        and at most the cap; when no decay shows, it is L + 8.
+        """
+        lmax = basis.lmax
+        norms = np.sqrt(np.bincount(basis.degrees.astype(int),
+                                    weights=(coeffs * coeffs).sum(0)))
+        ells = np.arange(lmax // 2 + 1, lmax + 1)     # the degrees above L/2
+        envelope = np.maximum(norms[ells], norms[ells - 1])
+        slope = np.polyfit(ells, np.log(envelope), 1)[0]
+        grow = 8
+        if slope < 0:
+            grow = max(grow, int(np.ceil(np.log(self.tol / 10 / floor)
+                                         / slope)))
+        return min(lmax + grow, self.l_cap)
 
     def tangent(self, space, deltas):
         """Shifts dX (K, 3, n_theta, n_phi) of the embedding ``space`` for K

@@ -331,15 +331,51 @@ def test_unrelated_metric_starts_from_the_round_sphere(grid32, cho_calls):
 
 
 def test_gauss_newton_stops_at_the_truncation_floor(cho_calls):
-    # The stream opener cut needs degree 21, the cap at n=32. Each degree
-    # below it ends at its truncation floor instead of taking steps that
-    # gain only rounding noise: one factorization at L=10 and one at L=18.
-    # The cap is above L_P, so no factor preconditions its steps.
+    # The stream opener cut needs degree 21, the cap at n=32. L=10 ends at
+    # its truncation floor instead of taking steps that gain only rounding
+    # noise, and the decay of its coefficients points past L=18 straight to
+    # the cap: one factorization, at L=10. The cap is above L_P, so no
+    # factor preconditions its steps.
     sigma = spot_cut_data(32, 0.1, 4.0).sigma
     emb = WeylSolver(sigma.grid, tol=1e-9).solve(sigma)
     assert emb.l_max == 21
     assert emb.residual < 1e-9
+    assert cho_calls == [360]
+
+
+def test_smooth_cut_climbs_through_the_factored_degree(grid32, cho_calls):
+    # A smooth cut's coefficients at the L=10 floor predict a degree below
+    # L_P, so the solve goes to L + 8 = 18, where a factor preconditions
+    # its steps, and not past it.
+    sigma = minkowski_surface_data(
+        MinkowskiSurfaceSpec("lightcone_cut", log_modes={(2, 0, 0): 0.2}),
+        grid32).data.sigma
+    emb = WeylSolver(grid32, tol=1e-10).solve(sigma)
+    assert emb.l_max == 18
+    assert emb.residual < 1e-10
     assert cho_calls == [360, 1080]
+
+
+def test_next_degree_follows_the_coefficient_decay(grid48):
+    solver = WeylSolver(grid48, tol=1e-10)
+    basis = grid48.basis(10, lmin=1)
+    ells = basis.degrees
+    # Degree l has 2l + 1 modes in each of 3 coordinates; its norm is e^(-l).
+    decaying = np.exp(-ells) / np.sqrt(3.0 * (2.0 * ells + 1.0)) * np.ones(
+        (3, 1))
+    # Floor 1e-6 at L=10: reaching tol/10 = 1e-11 takes ln(1e5) = 11.5 more
+    # degrees, so L=22.
+    assert solver._next_degree(basis, decaying, 1e-6) == 22
+    # Symmetric surfaces leave every odd degree zero: the envelope bridges
+    # them and predicts the same degree.
+    even = np.where(ells % 2 == 0, decaying, 0.0)
+    assert solver._next_degree(basis, even, 1e-6) == 22
+    # A flat spectrum shows no decay, and a floor already below tol/10
+    # needs none: both grow by 8.
+    assert solver._next_degree(basis, np.ones((3, basis.n_modes)), 1e-6) == 18
+    assert solver._next_degree(basis, decaying, 1e-12) == 18
+    # The prediction never passes the cap.
+    assert solver._next_degree(basis, decaying, 1e3) == solver.l_cap
 
 
 @pytest.fixture
@@ -398,22 +434,26 @@ def test_nearby_warm_solve_steps_on_the_held_factor(grid32, cho_calls,
 
 
 def test_sharp_cut_at_the_cap_against_revolution_oracle(cho_calls):
-    # The sharp_cut48 surface climbs to L=32, above L_P: its steps there are
-    # matrix-free, and no normal matrix above degree L_P is ever formed.
+    # The sharp_cut48 surface goes from its floor at L=10 straight to the
+    # degree its coefficients predict, above L_P: the cap L=32 at n=48, and
+    # L=33 below the cap at n=72. Its steps there are matrix-free, so the
+    # only normal matrix formed is the one at L=10.
     from oracles import revolution_mean_curvature
 
     height, steepness = 0.2, 6.0
-    sigma = spot_cut_data(48, height, steepness).sigma
-    emb = WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
-    assert emb.l_max == 32
-    assert emb.residual < 1e-10
-    total = calc.integrate(sigma, extract_geometry(emb).mean_curvature)
     # The cut's metric is f^2 times the round one, f = exp(g(cos(theta))).
     g_of_x = lambda x: height * np.exp(steepness * (x - 1.0))
     dg_dx = lambda x: steepness * g_of_x(x)
     _, _, total_oracle = revolution_mean_curvature(g_of_x, dg_dx)
-    assert abs(total - total_oracle) <= 1e-8 * abs(total_oracle)
-    assert max(cho_calls) <= 3 * sigma.grid.basis(embedding.L_P, lmin=1).n_modes
+    for n_theta, l_max in ((48, 32), (72, 33)):
+        cho_calls.clear()
+        sigma = spot_cut_data(n_theta, height, steepness).sigma
+        emb = WeylSolver(sigma.grid, tol=1e-10).solve(sigma)
+        assert emb.l_max == l_max
+        assert emb.residual < 1e-10
+        total = calc.integrate(sigma, extract_geometry(emb).mean_curvature)
+        assert abs(total - total_oracle) <= 1e-12 * abs(total_oracle)
+        assert cho_calls == [360]
 
 
 def test_spot_cut_floor_at_the_cap_n40():

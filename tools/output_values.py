@@ -45,7 +45,8 @@ def main(argv):
     sys.path[:0] = [os.path.join(tree, "src"), tree]
     from perfbench import workloads
     from qlm import validate
-    from qlm.functionals import TimeFunction, mass_density
+    from qlm.fields import ScalarField
+    from qlm.functionals import mass_density
 
     workloads.fresh_grids()
     results = validate.run_validation(workloads.VALIDATE_N,
@@ -59,7 +60,7 @@ def main(argv):
                                      seed=workloads.REGISTRY_SEED)
     schw, cut = ctx.schwarzschild(4.0), ctx.lightcone()
     for name, data, tau in (
-            ("schwarzschild-r4-tau0", schw.data, TimeFunction.zero(ctx.grid)),
+            ("schwarzschild-r4-tau0", schw.data, ScalarField.zero(ctx.grid)),
             ("lightcone-cut-tau-bar", cut.data, cut.tau_bar)):
         rho = mass_density(data, tau, workspace=ctx.workspace).values
         print(f"mass_density.{name} sha256 "

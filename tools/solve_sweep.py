@@ -41,8 +41,7 @@ def metrics(n):
     """(name, sigma) of every sweep metric on the n x 2n grid."""
     from qlm import calculus as calc
     from qlm.catalog import MinkowskiSurfaceSpec, minkowski_surface_data
-    from qlm.fields import Metric2
-    from qlm.functionals import TimeFunction
+    from qlm.fields import Metric2, ScalarField
     from qlm.grid import sphere_grid
 
     grid = sphere_grid(n, 2 * n)
@@ -59,7 +58,7 @@ def metrics(n):
         yield f"boosted{v}", minkowski_surface_data(spec, grid).data.sigma
     round_metric = Metric2.round(grid, 1.0)
     for a in GRAPH_AMPLITUDES:
-        tau = TimeFunction.from_modes(
+        tau = ScalarField.from_modes(
             grid, {(2, 0, 0): a, (2, 1, 1): a / 2, (3, 1, 0): a / 3})
         yield f"graph{a}", calc.metric_add_dtau(
             round_metric, calc.gradient(round_metric, tau))
